@@ -86,7 +86,7 @@ impl Outcome {
 /// These are observability counters, not simulation state: a run resumed
 /// from a checkpoint re-counts from the resume point, so they are
 /// deliberately **outside** the bitwise resume-identity contract (the
-/// same exclusion the sharded-agreement harness makes).
+/// same exclusion the cross-mode agreement harness makes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FallbackStats {
     /// Steps the adaptive engine served via the bucket-join path.

@@ -102,7 +102,6 @@ use crate::cancel::CancelToken;
 use crate::checkpoint::{
     CheckpointError, Snapshot, TAG_AGNT, TAG_CRNG, TAG_FLOD, TAG_META, TAG_MRNG, TAG_POSN, TAG_TURN,
 };
-use crate::sharded::ShardedWorld;
 use crate::{CoreError, Zone, ZoneMap};
 use fastflood_geom::Point;
 use fastflood_mobility::{
@@ -265,29 +264,6 @@ pub enum Parallelism {
         /// never changes results, only speed.
         threads: usize,
     },
-    /// Domain-partitioned transmit engine: the region splits into a
-    /// `grid × grid` decomposition of shards, each owning its agents'
-    /// transmit-phase state behind process-shaped boundaries (own
-    /// buffers + immutable halo snapshots; migrations and inform merges
-    /// happen in canonical shard order). The move pass stays the same
-    /// block-batched chunked kernel as [`Parallelism::Chunked`] and the
-    /// transmit phases draw no randomness, so the trace is
-    /// **bitwise-identical to `Chunked`** for the same `(seed, n)` —
-    /// for every `grid` and every thread count; `grid: 1` is the
-    /// degenerate single-shard world. See [`ShardedWorld`] and
-    /// `docs/ARCHITECTURE.md` ("Sharded world contract").
-    ///
-    /// [`ShardedWorld`]: crate::ShardedWorld
-    Sharded {
-        /// Shards per axis (`K`); the world holds `K²` shards.
-        /// Rejected when `0`, or when `K ≥ 2` and a shard cell's side
-        /// would be smaller than the transmit radius (the halo band
-        /// must fit inside one neighboring shard).
-        grid: usize,
-        /// Worker threads, resolved exactly as in
-        /// [`Parallelism::Chunked`].
-        threads: usize,
-    },
 }
 
 /// Configuration of a [`FloodingSim`].
@@ -388,8 +364,9 @@ impl SimConfig {
     /// `n ≥ 1`, radius positive and finite (NaN and infinities are
     /// rejected here instead of propagating into the grid geometry),
     /// protocol parameters in range, a fixed source index in bounds,
-    /// and a nonzero shard grid. [`FloodingSim::with_rng`] calls this
-    /// first, so an invalid config never half-constructs a simulator.
+    /// and a finite source anchor point. [`FloodingSim::with_rng`]
+    /// calls this first, so an invalid config never half-constructs a
+    /// simulator.
     ///
     /// # Errors
     ///
@@ -423,9 +400,6 @@ impl SimConfig {
                     "source anchor point must be finite",
                 ));
             }
-        }
-        if let Parallelism::Sharded { grid: 0, .. } = self.parallelism {
-            return Err(CoreError::BadParameter("shard grid must be at least 1"));
         }
         Ok(())
     }
@@ -582,11 +556,6 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// (counter-derived RNG stream + move scratch) per [`MOVE_CHUNK`]
     /// chunk of the population.
     par: Option<ParState<R>>,
-    /// The domain decomposition of [`Parallelism::Sharded`] (`None`
-    /// otherwise): per-shard rosters, halo snapshots, and migration
-    /// bookkeeping; the flooding/parsimonious transmit routes through
-    /// it instead of the engine-mode join.
-    sharded: Option<ShardedWorld>,
     /// Cooperative cancellation checked by [`FloodingSim::run`] between
     /// steps (`None` = never cancelled). Not part of simulation state:
     /// snapshots ignore it and clones share the same token.
@@ -687,7 +656,6 @@ impl<M: Mobility + Clone, R: Rng + SeedableRng + Send + Clone> Clone for Floodin
             phase_timing: self.phase_timing,
             phases: self.phases,
             par: self.par.clone(),
-            sharded: self.sharded.clone(),
             cancel: self.cancel.clone(),
         }
     }
@@ -761,16 +729,9 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let mut rank = vec![u32::MAX; config.n];
         rank[source] = 0;
 
-        let sharded = match config.parallelism {
-            Parallelism::Sharded { grid, .. } => {
-                Some(ShardedWorld::new(grid, region, config.radius, config.n)?)
-            }
-            _ => None,
-        };
-
         let par = match config.parallelism {
             Parallelism::Sequential => None,
-            Parallelism::Chunked { threads } | Parallelism::Sharded { threads, .. } => {
+            Parallelism::Chunked { threads } => {
                 let threads = if threads == 0 {
                     default_threads()
                 } else {
@@ -858,7 +819,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             phase_timing: false,
             phases: StepPhases::default(),
             par,
-            sharded,
             cancel: None,
         })
     }
@@ -923,9 +883,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         // diff (and shrinks the live population their geometry is sized
         // by): resync with full rebuilds on the next join step
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         if self.informed[agent] {
             // retire from the transmit roster
             let rk = self.rank[agent] as usize;
@@ -978,9 +935,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         // the live population (grid geometry) and roster membership both
         // change: resync the incremental grids from scratch
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         if self.informed[agent] {
             self.rank[agent] = self.transmitters.len() as u32;
             self.transmitters.push(agent as u32);
@@ -1025,9 +979,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         *self.spread.last_mut().expect("spread is never empty") = self.informed_count as u32;
         // roster surgery outside the join's membership diff: resync
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         self.update_zone_completion();
     }
 
@@ -1060,9 +1011,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         self.positions[agent] = self.model.position(&st);
         self.model.batch_set_state(&mut self.batch, agent, st);
         self.inc.ready = false;
-        if let Some(sh) = self.sharded.as_mut() {
-            sh.mark_dirty();
-        }
         self.update_zone_completion();
         Ok(())
     }
@@ -1127,9 +1075,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             self.transmitters.push(new as u32);
             self.source = new;
             self.inc.ready = false;
-            if let Some(sh) = self.sharded.as_mut() {
-                sh.mark_dirty();
-            }
             self.update_zone_completion();
         }
         Ok(())
@@ -1291,15 +1236,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     #[inline]
     pub fn parallel_threads(&self) -> usize {
         self.par.as_ref().map_or(0, |p| p.pool.threads())
-    }
-
-    /// The domain decomposition of [`Parallelism::Sharded`], or `None`
-    /// under any other parallelism — read-only access to the shard
-    /// grid's diagnostics (migration and halo counters, ownership
-    /// queries). See [`ShardedWorld`].
-    #[inline]
-    pub fn sharded_world(&self) -> Option<&ShardedWorld> {
-        self.sharded.as_ref()
     }
 
     /// Turns per-phase wall-clock accounting on or off (see
@@ -1503,36 +1439,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
             self.inc.stale += max_move;
             return;
         }
-        if self.sharded.is_some() {
-            // Sharded transmit: coins are drawn here, in global roster
-            // order from the main stream — the identical draws as every
-            // other engine mode — and the coin-passing subset is handed
-            // to the world as stamp marks (the shard-local effective
-            // rosters filter by `stamp[t] == time`). The decomposition
-            // pipeline itself is RNG-free, which is what keeps the
-            // trace bitwise-invariant in the shard grid.
-            let parsimonious = forward_probability.is_some();
-            let mut any_tx = !self.transmitters.is_empty();
-            if let Some(p) = forward_probability {
-                any_tx = false;
-                let time = self.time;
-                for i in 0..self.transmitters.len() {
-                    let t = self.transmitters[i] as usize;
-                    if self.rng.gen::<f64>() < p {
-                        self.stamp[t] = time;
-                        any_tx = true;
-                    }
-                }
-            }
-            if any_tx {
-                // an all-tails step skips the pipeline entirely (like
-                // every mode); the roster surgery it also skips is
-                // idempotent against the global flags, so the next
-                // transmit absorbs the extra step's moves
-                self.transmit_sharded(parsimonious);
-            }
-            return;
-        }
         // The transmit roster: all live informed agents, or the
         // coin-passing subset for parsimonious. Coins are drawn in
         // roster order in every engine mode, so the random stream is
@@ -1685,29 +1591,6 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         }
     }
 
-    /// Hands the post-move global snapshot to the [`ShardedWorld`]
-    /// pipeline (surgery → exchange → publish → halo join) and collects
-    /// the per-shard newly-informed lists into `self.newly` (the caller
-    /// sorts the union, as for every mode). RNG-free: parsimonious
-    /// coins were already drawn by [`FloodingSim::transmit_flooding`]
-    /// and arrive as `stamp[t] == time` marks.
-    fn transmit_sharded(&mut self, parsimonious: bool) {
-        let sh = self
-            .sharded
-            .as_mut()
-            .expect("transmit_sharded called with the sharded world active");
-        sh.transmit(
-            &self.positions,
-            &self.informed,
-            &self.crashed,
-            &self.stamp,
-            self.time,
-            parsimonious,
-            &mut self.newly,
-            self.par.as_ref().map(|p| &*p.pool),
-        );
-    }
-
     /// Push gossip: each live informed agent pushes to at most `k`
     /// uniformly chosen live uninformed neighbors.
     ///
@@ -1838,7 +1721,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 /// bottoms near 4× (1× ≈ 2.9 ms, 2× ≈ 2.0 ms, 4× ≈ 1.8 ms, 6× ≈
 /// 1.8 ms) — the AABB/cell-rect prunes keep wide neighborhoods cheap,
 /// so the curve is flat past the knee and the exact value is shallow.
-pub(crate) const JOIN_BUCKET_FACTOR: f64 = 4.0;
+const JOIN_BUCKET_FACTOR: f64 = 4.0;
 
 /// The bucket-join transmit kernel shared by [`EngineMode::BucketJoin`]
 /// and the adaptive dense regime: bins the uninformed worklist and the
@@ -1955,12 +1838,12 @@ where
     /// curve, zone completion times, and turn-recorder timestamps.
     ///
     /// Derived caches are deliberately *not* serialized: the spatial
-    /// grids, the incremental-sync ledger, the sharded world, and all
-    /// per-step scratch are re-derived or invalidated by
-    /// [`FloodingSim::restore`], and every transmit path rebuilds them
-    /// from a cold cache without consuming random draws. See
-    /// `docs/ARCHITECTURE.md` ("Checkpoint & recovery contract") for
-    /// the full section table and the serialize-vs-rebuild split.
+    /// grids, the incremental-sync ledger, and all per-step scratch are
+    /// re-derived or invalidated by [`FloodingSim::restore`], and every
+    /// transmit path rebuilds them from a cold cache without consuming
+    /// random draws. See `docs/ARCHITECTURE.md` ("Checkpoint & recovery
+    /// contract") for the full section table and the serialize-vs-rebuild
+    /// split.
     pub fn snapshot(&self) -> Snapshot {
         let n = self.n();
         let mut snap = Snapshot::new();
@@ -1988,9 +1871,8 @@ where
             }
         }
         meta.put_u8(engine_code(self.engine));
-        // parallelism *class*, not exact mode: Chunked and Sharded draw
-        // from the same chunk streams and produce the same trace, so a
-        // snapshot moves freely between them
+        // parallelism *class*, not exact mode: a chunked snapshot
+        // restores under any thread count
         meta.put_u8(self.par.is_some() as u8);
         meta.put_u32(self.par.as_ref().map_or(0, |p| p.chunks.len()) as u32);
         // model fingerprint: per-agent layout tag + region + speed
@@ -2077,8 +1959,8 @@ where
     /// Derived state is reconciled rather than read: `rank` is rebuilt
     /// from the transmitter roster, the spatial grids and the
     /// incremental-sync ledger reset to cold (the next transmit
-    /// rebuilds them without consuming draws), the sharded world is
-    /// marked dirty, and scratch buffers clear.
+    /// rebuilds them without consuming draws), and scratch buffers
+    /// clear.
     ///
     /// # Errors
     ///
@@ -2376,9 +2258,6 @@ where
         self.tx_scratch.clear();
         self.cand.clear();
         self.stamp.iter_mut().for_each(|s| *s = u32::MAX);
-        if let Some(sh) = &mut self.sharded {
-            sh.mark_dirty();
-        }
         Ok(())
     }
 }
@@ -2388,7 +2267,7 @@ fn class_name(class: u8) -> &'static str {
     if class == 0 {
         "sequential"
     } else {
-        "chunked/sharded"
+        "chunked"
     }
 }
 

@@ -116,18 +116,10 @@ const ENGINES: [EngineMode; 5] = [
     EngineMode::Incremental,
 ];
 
-const PAR_MODES: [Parallelism; 5] = [
+const PAR_MODES: [Parallelism; 3] = [
     Parallelism::Sequential,
     Parallelism::Chunked { threads: 1 },
     Parallelism::Chunked { threads: 2 },
-    Parallelism::Sharded {
-        grid: 2,
-        threads: 1,
-    },
-    Parallelism::Sharded {
-        grid: 2,
-        threads: 2,
-    },
 ];
 
 const PROTOCOLS: [Protocol; 3] = [
@@ -139,9 +131,11 @@ const PROTOCOLS: [Protocol; 3] = [
 #[test]
 fn resume_is_bitwise_identical_across_modes() {
     let mut idx = 0u64;
-    for engine in ENGINES {
-        for par in PAR_MODES {
-            let protocol = PROTOCOLS[idx as usize % PROTOCOLS.len()];
+    for (e, engine) in ENGINES.into_iter().enumerate() {
+        for (p, par) in PAR_MODES.into_iter().enumerate() {
+            // a Latin square: every engine and every parallelism mode
+            // meets every protocol
+            let protocol = PROTOCOLS[(e + p) % PROTOCOLS.len()];
             // snapshot step varies per combination, straddling the
             // fault times (before, between, and after them)
             let k = 3 + (idx * 7 + 3) % 17;
@@ -201,9 +195,9 @@ fn resume_preserves_turn_recorder() {
     );
 }
 
-/// Chunked and Sharded share one determinism class: a snapshot taken
-/// under Chunked restores into a Sharded simulator (and vice versa) and
-/// the continuation still matches the chunked reference bitwise.
+/// The thread count is not part of a snapshot's identity: a snapshot
+/// taken under 2-thread Chunked restores into a 1-thread Chunked
+/// simulator and the continuation still matches the reference bitwise.
 #[test]
 fn snapshot_moves_within_the_chunked_class() {
     let chunked = config(
@@ -212,12 +206,9 @@ fn snapshot_moves_within_the_chunked_class() {
         Protocol::Flooding,
         42,
     );
-    let sharded = config(
+    let one_thread = config(
         EngineMode::Adaptive,
-        Parallelism::Sharded {
-            grid: 2,
-            threads: 2,
-        },
+        Parallelism::Chunked { threads: 1 },
         Protocol::Flooding,
         42,
     );
@@ -228,7 +219,7 @@ fn snapshot_moves_within_the_chunked_class() {
         reference.step();
         donor.step();
     }
-    let mut resumed = FloodingSim::new(model(), sharded).expect("valid config");
+    let mut resumed = FloodingSim::new(model(), one_thread).expect("valid config");
     resumed.restore(&donor.snapshot()).expect("same class");
     for step in 0..12 {
         reference.step();
@@ -243,7 +234,7 @@ fn snapshot_moves_within_the_chunked_class() {
             .iter()
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
             .collect();
-        assert_eq!(got, want, "chunked->sharded diverged at +{step}");
+        assert_eq!(got, want, "t2->t1 restore diverged at +{step}");
     }
     assert_eq!(resumed.report(), reference.report());
 }

@@ -1,28 +1,41 @@
 //! Panic-recovery coverage for the shared `WorkerPool` under
-//! `Parallelism::Sharded` — the supervisor's survival story at the
+//! `Parallelism::Chunked` — the supervisor's survival story at the
 //! engine layer:
 //!
-//! * a task panic on the pool a sharded sim is about to use (or is in
+//! * a task panic on the pool a chunked sim is about to use (or is in
 //!   the middle of using) leaves the pool fully reusable, and
 //! * the sim's trajectory stays **bitwise identical** to the
-//!   `Chunked` reference — `Sharded { grid: K }` ≡ `Chunked` is the
-//!   sharded engine's acceptance invariant, so any scheduling fallout
-//!   from the panic (dead workers, inline fallbacks at the wrong
-//!   moment) would show up as a fingerprint mismatch here.
+//!   `Chunked { threads: 1 }` reference — thread-count invariance is
+//!   the chunked engine's determinism contract, so any scheduling
+//!   fallout from the panic (dead workers, inline fallbacks at the
+//!   wrong moment) would show up as a fingerprint mismatch here.
 //!
 //! The pool under test is obtained through `shared_pool(threads)` —
 //! the same registry `FloodingSim` construction resolves through — so
 //! these tests exercise the actual sharing seam the job runtime in
-//! `crates/service` rides, not a private look-alike pool.
+//! `crates/service` rides, not a private look-alike pool. Both tests
+//! wound the same 2-thread registry pool, so they hold a lock to keep
+//! one test's chaos out of the other's pool-sharing assertions.
 
 use fastflood_core::{EngineMode, FloodingSim, Parallelism, SimConfig, SourcePlacement};
-use fastflood_mobility::Mrwp;
+use fastflood_mobility::{Mrwp, MOVE_CHUNK};
 use fastflood_parallel::shared_pool;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests (a panicking test must not block the other).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Populations span several [`MOVE_CHUNK`]s so every move pass really
+/// dispatches on the pool; the side keeps the density of a 700-agent
+/// 30×30 square.
 fn sim(n: usize, seed: u64, parallelism: Parallelism) -> FloodingSim<Mrwp> {
-    let model = Mrwp::new(30.0, 0.5).unwrap();
+    assert!(n > 2 * MOVE_CHUNK, "the move pass must span several chunks");
+    let model = Mrwp::new(30.0 * (n as f64 / 700.0).sqrt(), 0.5).unwrap();
     FloodingSim::new(
         model,
         SimConfig::new(n, 2.0)
@@ -48,18 +61,19 @@ fn fingerprint(sim: &FloodingSim<Mrwp>) -> (Vec<(u64, u64)>, Vec<Option<u32>>, V
 }
 
 /// A panicking dispatch before and another mid-run must leave the
-/// shared pool serving the sharded sim with unchanged results.
+/// shared pool serving the chunked sim with unchanged results.
 #[test]
-fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
+fn chunked_run_is_bitwise_correct_after_pool_task_panics() {
+    let _serial = serial();
     // the reference runs on its own (sequentially-chunked) universe
     let reference = {
-        let mut s = sim(700, 77, Parallelism::Chunked { threads: 1 });
+        let mut s = sim(9_000, 77, Parallelism::Chunked { threads: 1 });
         let report = s.run(5_000);
         assert!(report.completed, "reference flood must complete");
         fingerprint(&s)
     };
 
-    // hold the shared pool the sharded sim will resolve to, and prove
+    // hold the shared pool the chunked sim will resolve to, and prove
     // the sim actually shares it (construction bumps the Arc count)
     let pool = shared_pool(2);
     let before = Arc::strong_count(&pool);
@@ -74,21 +88,14 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
     }));
     assert!(hurt.is_err(), "the panic must reach the dispatcher");
 
-    let mut s = sim(
-        700,
-        77,
-        Parallelism::Sharded {
-            grid: 2,
-            threads: 2,
-        },
-    );
+    let mut s = sim(9_000, 77, Parallelism::Chunked { threads: 2 });
     assert!(
         Arc::strong_count(&pool) > before,
-        "the sharded sim must share the registry pool, not build its own"
+        "the chunked sim must share the registry pool, not build its own"
     );
 
     // run half the flood, panic another dispatch on the *same* pool
-    // (mid-sharded-transmit from the sim's point of view: its next
+    // (mid-flood from the sim's point of view: its next
     // step dispatches on a pool that just unwound), then finish
     for _ in 0..40 {
         if s.all_informed() {
@@ -106,7 +113,7 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
     assert!(hurt.is_err(), "the mid-run panic must reach the dispatcher");
 
     let report = s.run(5_000);
-    assert!(report.completed, "sharded flood must complete");
+    assert!(report.completed, "chunked flood must complete");
     assert_eq!(
         fingerprint(&s),
         reference,
@@ -118,17 +125,16 @@ fn sharded_run_is_bitwise_correct_after_pool_task_panics() {
 /// another thread (the sim's dispatches fall back to inline execution
 /// whenever the pool is busy) must not perturb the trajectory either.
 #[test]
-fn sharded_run_survives_concurrent_panicking_dispatches() {
+fn chunked_run_survives_concurrent_panicking_dispatches() {
+    let _serial = serial();
     let reference = {
-        let mut s = sim(500, 910, Parallelism::Chunked { threads: 1 });
+        let mut s = sim(8_500, 910, Parallelism::Chunked { threads: 1 });
         let report = s.run(5_000);
         assert!(report.completed, "reference flood must complete");
         fingerprint(&s)
     };
 
-    // a distinct thread count from the other test so the two tests
-    // never contend for one registry entry
-    let pool = shared_pool(3);
+    let pool = shared_pool(2);
     let stop = Arc::new(AtomicBool::new(false));
     let chaos = {
         let pool = Arc::clone(&pool);
@@ -152,19 +158,12 @@ fn sharded_run_survives_concurrent_panicking_dispatches() {
         })
     };
 
-    let mut s = sim(
-        500,
-        910,
-        Parallelism::Sharded {
-            grid: 2,
-            threads: 3,
-        },
-    );
+    let mut s = sim(8_500, 910, Parallelism::Chunked { threads: 2 });
     let report = s.run(5_000);
     stop.store(true, Ordering::Relaxed);
     let panics = chaos.join().expect("chaos thread must not die");
     assert!(panics > 0, "the chaos loop must actually have panicked");
-    assert!(report.completed, "sharded flood must complete");
+    assert!(report.completed, "chunked flood must complete");
     assert_eq!(
         fingerprint(&s),
         reference,

@@ -24,7 +24,7 @@ use crate::supervisor::{Chaos, JobSpec, JobStatus, Submission, Supervisor};
 use fastflood_bench::scenario::{parse_scenario, scenario_by_name, Scenario};
 use fastflood_core::{EngineMode, Parallelism};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +33,9 @@ use std::time::Duration;
 /// by the caller's signal handler), then drains the supervisor and
 /// returns the final state of every job — the resumable set. The
 /// listener is switched to non-blocking so the stop flag is observed
-/// within ~20 ms even with no traffic.
+/// within ~20 ms even with no traffic. After the drain every open
+/// connection's read half is shut down, so a client that never sends
+/// another line cannot keep the daemon alive.
 ///
 /// # Errors
 ///
@@ -45,18 +47,28 @@ pub fn serve(
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<Vec<JobStatus>> {
     listener.set_nonblocking(true)?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // each connection thread with a handle on its socket, so shutdown
+    // can unblock a reader parked on an idle client
+    let mut conns: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _addr)) => {
+                let handle = match stream.try_clone() {
+                    Ok(handle) => handle,
+                    Err(e) => {
+                        eprintln!("floodd: connection error: {e}");
+                        continue;
+                    }
+                };
                 let sup = Arc::clone(&supervisor);
                 let stop = Arc::clone(&stop);
-                conns.push(std::thread::spawn(move || {
+                let thread = std::thread::spawn(move || {
                     if let Err(e) = handle_connection(stream, &sup, &stop) {
                         eprintln!("floodd: connection error: {e}");
                     }
-                }));
-                conns.retain(|h| !h.is_finished());
+                });
+                conns.push((thread, handle));
+                conns.retain(|(h, _)| !h.is_finished());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -68,8 +80,13 @@ pub fn serve(
         }
     }
     let drained = supervisor.drain();
-    // join connection threads so in-flight responses flush before exit
-    for h in conns {
+    // end every connection's reads (its reader sees EOF) but leave the
+    // write half open, then join so in-flight responses flush before
+    // exit
+    for (_, stream) in &conns {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (h, _) in conns {
         let _ = h.join();
     }
     Ok(drained)
@@ -250,10 +267,7 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
     let parallelism = match req.get("parallelism").and_then(Json::as_str) {
         None | Some("seq") | Some("sequential") => Parallelism::Sequential,
         Some("chunked") => Parallelism::Chunked { threads: 0 },
-        Some(s) => match s.strip_prefix("sharded:").and_then(|k| k.parse().ok()) {
-            Some(grid) => Parallelism::Sharded { grid, threads: 0 },
-            None => return Err(format!("unknown parallelism {s:?} (seq|chunked|sharded:K)")),
-        },
+        Some(other) => return Err(format!("unknown parallelism {other:?} (seq|chunked)")),
     };
     let chaos = match req.get("chaos_panic_at").and_then(Json::as_u64) {
         None => Chaos::None,
@@ -278,4 +292,35 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
         chaos,
         step_delay_ms: req.get("step_delay_ms").and_then(Json::as_u64).unwrap_or(0),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::supervisor::SupervisorConfig;
+
+    #[test]
+    fn submit_rejects_unknown_parallelism() {
+        let root = std::env::temp_dir().join(format!("floodd-parse-{}", std::process::id()));
+        let sup = Supervisor::new(SupervisorConfig {
+            workers: 1,
+            checkpoint_root: root.clone(),
+            ..SupervisorConfig::default()
+        });
+        let stop = AtomicBool::new(false);
+        for par in ["sharded", "threads:2"] {
+            let line = format!(
+                r#"{{"op":"submit","scenario":"uniform-baseline","n":60,"parallelism":"{par}"}}"#
+            );
+            let response = handle_request(&line, &sup, &stop);
+            assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+            let error = response.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                error.contains(par) && error.contains("seq|chunked"),
+                "{par}: {error}"
+            );
+        }
+        assert_eq!(sup.stats().accepted, 0, "nothing may be admitted");
+        let _ = std::fs::remove_dir_all(root);
+    }
 }

@@ -1,8 +1,9 @@
 //! End-to-end chaos tests against a real `floodd` child process over
 //! TCP: chaos-panic restart with digest equality, impossible deadlines
 //! reported while the service keeps serving, SIGKILL of the whole
-//! daemon followed by a checkpoint resume in a fresh daemon, and
-//! SIGTERM graceful drain with the resumable-state report on stdout.
+//! daemon followed by a checkpoint resume in a fresh daemon, SIGTERM
+//! graceful drain with the resumable-state report on stdout, and a
+//! prompt exit on `shutdown` while an idle client stays connected.
 #![cfg(unix)]
 
 use fastflood_bench::scenario::{parse_scenario, run_scenario, trace_digest};
@@ -330,4 +331,37 @@ fn sigterm_drains_gracefully_and_reports_resumable_state() {
         "the drained job must carry a resumable checkpoint step: {victim}"
     );
     assert!(daemon.child.wait().expect("floodd exits").success());
+}
+
+#[test]
+fn shutdown_exits_promptly_with_an_idle_client_connected() {
+    let root = tmp_root("idle");
+    let mut daemon = Daemon::spawn(&root, &[]);
+    // a client that connects, proves it is being served, then goes
+    // quiet without disconnecting
+    let mut idle = TcpStream::connect(&daemon.addr).expect("connect idle client");
+    writeln!(idle, "{}", Json::obj(vec![("op", Json::str("ping"))])).expect("send ping");
+    let mut line = String::new();
+    BufReader::new(idle.try_clone().expect("clone idle stream"))
+        .read_line(&mut line)
+        .expect("read pong");
+    assert!(line.contains("\"pong\":true"), "{line}");
+
+    let resp = daemon.request(&Json::obj(vec![("op", Json::str("shutdown"))]));
+    assert_eq!(resp.get("stopping").and_then(Json::as_bool), Some(true));
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = daemon.child.try_wait().expect("poll floodd") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "floodd still running 5 s after shutdown with an idle client open"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success());
+    daemon.read_drain_report();
+    drop(idle);
 }
