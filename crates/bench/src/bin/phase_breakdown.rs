@@ -2,19 +2,16 @@
 //! transmit vs incremental-grid refresh, per step, on the production
 //! adaptive engine.
 //!
-//! Reproduces the `engine_step_sustained` shape (warm a flood to ~50%
-//! informed, then a long `step()` loop through completion into the
-//! cheap post-completion steps) with `FloodingSim`'s phase timing
-//! enabled, and prints one JSON object `scripts/bench_engine.sh` embeds
-//! as the `phase_breakdown` block of `BENCH_engine.json` — so a
-//! regression in the move pass (or a refresh-cadence change in the
-//! staleness accounting) shows up as a shifted share, not just a slower
-//! total. Schema in `docs/BENCHMARKING.md`.
+//! The protocol warms a flood to ~50% informed, then times a long
+//! `step()` loop through completion into the cheap post-completion
+//! steps, with `FloodingSim`'s phase timing enabled, and prints one JSON
+//! object — so a regression in the move pass (or a refresh-cadence
+//! change in the staleness accounting) shows up as a shifted share, not
+//! just a slower total. Schema in `docs/BENCHMARKING.md`.
 //!
-//! `FASTFLOOD_BENCH_LARGE=1` adds the n = 300k row, as in the bench.
+//! `FASTFLOOD_BENCH_LARGE=1` adds the n = 300k row.
 //! `--threads <T>` runs the chunked-parallel engine on a `T`-thread
-//! pool instead of the sequential default (`scripts/bench_engine.sh`
-//! records both as separate blocks).
+//! pool instead of the sequential default.
 
 use fastflood_core::{EngineMode, FloodingSim, Parallelism, SimConfig, SimParams, SourcePlacement};
 use fastflood_mobility::Mrwp;
@@ -47,7 +44,7 @@ fn main() {
     }
     println!("{{");
     println!(
-        "  \"protocol\": \"engine_step_sustained shape (adaptive engine{}, warm to ~50% informed, \
+        "  \"protocol\": \"sustained step (adaptive engine{}, warm to ~50% informed, \
          fixed timed step loop through completion); ns per step, refresh is the subset of \
          transmit spent synchronizing the incremental grids, boundary is the move-pass time \
          in the scalar leg-boundary pass (CPU time summed over chunks in parallel mode)\",",

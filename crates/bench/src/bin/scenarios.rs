@@ -66,14 +66,7 @@ struct Args {
 }
 
 fn parse_engine(v: &str) -> EngineMode {
-    match v {
-        "adaptive" => EngineMode::Adaptive,
-        "rebuild" => EngineMode::Rebuild,
-        "oracle" => EngineMode::Oracle,
-        "bucket-join" => EngineMode::BucketJoin,
-        "incremental" => EngineMode::Incremental,
-        other => panic!("unknown engine {other:?}"),
-    }
+    v.parse().unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn parse_parallelism(v: &str) -> Parallelism {
@@ -214,7 +207,7 @@ fn scenario_json(sc: &Scenario, engine: EngineMode, runs: &[ScenarioRun]) -> Str
         json_str(&sc.name),
         json_str(sc.model.label()),
         json_str(sc.metric.label()),
-        format!("{engine:?}").to_lowercase(),
+        engine.name(),
         sc.n,
         sc.radius,
         runs.len(),

@@ -1,7 +1,8 @@
-//! Tiny command-line parsing shared by the experiment binaries.
+//! Tiny command-line parsing for the `exp_all` experiment runner.
 
-/// Common arguments accepted by every experiment binary:
+/// Arguments accepted by `exp_all`:
 ///
+/// * bare words — names of the experiments to run (empty = all);
 /// * `--quick` — run a reduced configuration (used by smoke tests);
 /// * `--seed <u64>` — master seed (default 2010, the paper's year);
 /// * `--trials <usize>` — trials per configuration (experiment-specific
@@ -11,6 +12,8 @@
 ///   parallelism — see [`fastflood_parallel::default_threads`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpArgs {
+    /// Experiments named on the command line, in order.
+    pub names: Vec<String>,
     /// Reduced configuration for smoke runs.
     pub quick: bool,
     /// Master seed.
@@ -24,6 +27,7 @@ pub struct ExpArgs {
 impl Default for ExpArgs {
     fn default() -> Self {
         ExpArgs {
+            names: Vec::new(),
             quick: false,
             seed: 2010,
             trials: None,
@@ -80,9 +84,10 @@ impl ExpArgs {
                     out.threads = v.as_ref().parse().expect("--threads must be a usize");
                     assert!(out.threads > 0, "--threads must be positive");
                 }
-                other => panic!(
-                    "unknown argument {other:?}; supported: --quick --seed <u64> --trials <n> --threads <n>"
+                other if other.starts_with('-') => panic!(
+                    "unknown argument {other:?}; supported: NAME... --quick --seed <u64> --trials <n> --threads <n>"
                 ),
+                name => out.names.push(name.to_string()),
             }
         }
         out
@@ -101,6 +106,7 @@ mod tests {
     #[test]
     fn defaults() {
         let a = ExpArgs::from_iter(Vec::<String>::new());
+        assert!(a.names.is_empty());
         assert!(!a.quick);
         assert_eq!(a.seed, 2010);
         assert_eq!(a.trials, None);
@@ -111,11 +117,19 @@ mod tests {
     #[test]
     fn parses_all_flags() {
         let a = ExpArgs::from_iter(["--quick", "--seed", "9", "--trials", "3", "--threads", "2"]);
+        assert!(a.names.is_empty());
         assert!(a.quick);
         assert_eq!(a.seed, 9);
         assert_eq!(a.trials, Some(3));
         assert_eq!(a.threads, 2);
         assert_eq!(a.trials_or(7), 3);
+    }
+
+    #[test]
+    fn collects_names_between_flags() {
+        let a = ExpArgs::from_iter(["protocols", "--seed", "5", "thm3_sweep"]);
+        assert_eq!(a.names, ["protocols", "thm3_sweep"]);
+        assert_eq!(a.seed, 5);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! and the measured outcomes in `EXPERIMENTS.md`). Every experiment
 //! exposes a `Config` (with a `Default` sized for a laptop run and a
 //! `quick()` variant for smoke tests) and a `run` function returning a
-//! structured, `Display`able result. The binaries in `src/bin/` are thin
-//! wrappers: parse [`cli::ExpArgs`], run, print.
+//! structured, `Display`able result. The `exp_all` binary runs them by
+//! name: parse [`cli::ExpArgs`], run, print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,8 +33,7 @@
 //!   (AABB-pruned) and streams dense slice-×-slice distance loops, so
 //!   the worklist is consumed in spatially sorted (probe-order) memory
 //!   order. [`EngineMode::Adaptive`] auto-engages this path whenever
-//!   transmitters aren't scarce; [`EngineMode::BucketJoin`] forces it
-//!   everywhere.
+//!   transmitters aren't scarce.
 //! * **Temporally-coherent incremental re-binning.** In the MRWP speed
 //!   regime agents move `v ≪ bucket` per step, so a binning stays
 //!   *valid up to a known staleness bound* for many steps. The join's
@@ -92,11 +91,8 @@
 //! per-query bucket work) and `O(churn + pairs)` amortized afterwards
 //! (membership surgery plus the occupied-bucket-pair join, whose scan
 //! work is the number of close bucket pairs; every
-//! `⌊(bucket−R)/4v⌋`-th step pays one `O(U + T)` refresh pass), versus
-//! the seed implementation's fresh heap index build plus two full
-//! `O(n)` agent scans every step.
-//! See `BENCH_engine.json` for measured step throughput and
-//! `docs/BENCHMARKING.md` for the protocol behind it.
+//! `⌊(bucket−R)/4v⌋`-th step pays one `O(U + T)` refresh pass).
+//! See `docs/BENCHMARKING.md` for how step throughput is measured.
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::{
@@ -109,11 +105,12 @@ use fastflood_mobility::{
     TurnRecorder, MOVE_CHUNK, RNG_BLOCK,
 };
 use fastflood_parallel::{default_threads, shared_pool, WorkerPool};
-use fastflood_spatial::{GridIndex, GridIndexBuffer};
+use fastflood_spatial::GridIndexBuffer;
 use fastflood_stats::seeds::derive_seed;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng, SnapshotRng};
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -196,40 +193,76 @@ pub enum EngineMode {
     /// measured cost.
     #[default]
     Adaptive,
-    /// The seed implementation, kept as the benchmark baseline: a fresh
-    /// [`GridIndex`] built from scratch every step over all transmitter
-    /// positions, plus a full scan of all `n` agents. (Gossip, which the
-    /// benches don't exercise, shares the [`EngineMode::Oracle`] path.)
-    Rebuild,
     /// The adaptive algorithm with every spatial query replaced by a
     /// brute-force scan — the correctness oracle. Draws the exact same
     /// random stream as [`EngineMode::Adaptive`], so runs must match
     /// step for step (property-tested across protocols and crashes).
     Oracle,
-    /// Always-on bucket join: every full-flooding/parsimonious transmit
-    /// bins both sides into two shared-geometry [`GridIndexBuffer`]s and
-    /// joins occupied bucket pairs, regardless of side sizes. The
-    /// production [`EngineMode::Adaptive`] engages the same path only
-    /// once transmitters stop being scarce; this mode forces it
-    /// everywhere so tests and isolation benches exercise the join
-    /// unconditionally. Unlike the production path it re-bins both
-    /// sides from scratch every step (the PR 2 engine, kept as the
-    /// incremental path's baseline). (Gossip, whose per-transmitter
-    /// sampling a join cannot express, shares the adaptive gossip
-    /// path.) Identical protocol semantics and random streams to all
-    /// other modes.
-    BucketJoin,
     /// Always-on incrementally-maintained bucket join: every
     /// full-flooding/parsimonious transmit runs the join over the two
     /// slack-layout grids kept in sync by
     /// [`GridIndexBuffer::update_moved`], regardless of side sizes —
     /// even where [`EngineMode::Adaptive`] would still mark from scarce
-    /// transmitters. Exists so tests and benches exercise the
-    /// incremental machinery unconditionally, including its full-rebuild
+    /// transmitters. Exists so tests exercise the incremental
+    /// machinery unconditionally, including its full-rebuild
     /// fallbacks. (Gossip shares the adaptive gossip path.) Identical
     /// protocol semantics and random streams to all other modes.
     Incremental,
 }
+
+impl EngineMode {
+    /// Every mode, in the order their names are listed in errors.
+    pub const ALL: [EngineMode; 3] = [
+        EngineMode::Adaptive,
+        EngineMode::Incremental,
+        EngineMode::Oracle,
+    ];
+
+    /// The mode's name as command-line flags, the `floodd` protocol and
+    /// JSON reports spell it; [`str::parse`] is its inverse.
+    ///
+    /// ```
+    /// use fastflood_core::EngineMode;
+    ///
+    /// for mode in EngineMode::ALL {
+    ///     assert_eq!(mode.name().parse(), Ok(mode));
+    /// }
+    /// let err = "rebuild".parse::<EngineMode>().unwrap_err();
+    /// assert_eq!(err.to_string(), "unknown engine \"rebuild\" (adaptive|incremental|oracle)");
+    /// ```
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineMode::Adaptive => "adaptive",
+            EngineMode::Incremental => "incremental",
+            EngineMode::Oracle => "oracle",
+        }
+    }
+}
+
+impl FromStr for EngineMode {
+    type Err = UnknownEngine;
+
+    fn from_str(s: &str) -> Result<Self, UnknownEngine> {
+        EngineMode::ALL
+            .into_iter()
+            .find(|mode| mode.name() == s)
+            .ok_or_else(|| UnknownEngine(s.to_string()))
+    }
+}
+
+/// A name that [`EngineMode`]'s [`FromStr`] does not know; displays the
+/// rejected name and the valid ones.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownEngine(String);
+
+impl fmt::Display for UnknownEngine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = EngineMode::ALL.iter().map(|m| m.name()).collect();
+        write!(f, "unknown engine {:?} ({})", self.0, names.join("|"))
+    }
+}
+
+impl std::error::Error for UnknownEngine {}
 
 /// Intra-step parallelism of a [`FloodingSim`].
 ///
@@ -530,8 +563,8 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// rebuilt with the same grid geometry as `grid`.
     tx_grid: GridIndexBuffer,
     /// Diagnostic: steps whose transmit ran the bucket join (forced by
-    /// [`EngineMode::BucketJoin`] / [`EngineMode::Incremental`] or
-    /// auto-engaged by the adaptive policy).
+    /// [`EngineMode::Incremental`] or auto-engaged by the adaptive
+    /// policy).
     join_steps: u32,
     /// Cross-step synchronization state of the incremental re-bin path.
     inc: IncrementalSync,
@@ -592,8 +625,7 @@ const CHUNK_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Cumulative wall-clock time of [`FloodingSim::step`]'s phases, in
 /// nanoseconds, collected when
 /// [`FloodingSim::enable_phase_timing`] is on — the measurement behind
-/// the `phase_breakdown` block of `BENCH_engine.json` (schema in
-/// `docs/BENCHMARKING.md`).
+/// the `phase_breakdown` binary (see `docs/BENCHMARKING.md`).
 ///
 /// `transmit_ns` covers the whole post-move half of the step (protocol
 /// transmit plus applying the newly-informed set); `refresh_ns` is the
@@ -1122,8 +1154,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     }
 
     /// Diagnostic: how many executed steps ran the bucket-join transmit
-    /// path (forced by [`EngineMode::BucketJoin`] /
-    /// [`EngineMode::Incremental`], or auto-engaged by
+    /// path (forced by [`EngineMode::Incremental`], or auto-engaged by
     /// [`EngineMode::Adaptive`] in the dense regime). Used by tests to
     /// assert the adaptive policy actually engages the join, and handy
     /// when tuning the crossover.
@@ -1464,111 +1495,44 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let r2 = radius * radius;
         let region = self.model.region();
         match self.engine {
-            EngineMode::Adaptive => {
-                // Side policy, tuned by measurement (see the engine_step
-                // benches): with very few transmitters, bin the
-                // uninformed mass (two cheap linear passes, fine
-                // buckets) and mark from each transmitter; otherwise
-                // run the bucket join — both sides binned coarse,
-                // occupied bucket pairs resolved in spatial order. The
-                // join's only cost over the per-agent probing it
-                // replaced is the O(U) uninformed-side re-bin, which is
-                // exactly the cost that vanishes as the worklist
-                // shrinks, while its coarse transmitter table stays
-                // cheaper to rebuild than a probe-grade fine one — so
-                // the join wins (or ties) from the dense mid-flood
-                // regime all the way down the tail.
-                if tx.len() * 8 <= self.uninformed.len() {
-                    // few transmitters: index the uninformed mass, mark
-                    // everyone in range of a transmitter. This clobbers
-                    // `grid` with a fine-bucket layout, so the
-                    // incremental join state (if any) dies with it.
-                    self.inc.ready = false;
-                    self.grid
-                        .rebuild_subset(region, radius, &self.positions, &self.uninformed)
-                        .expect("positions finite, radius validated");
-                    let stamp = &mut self.stamp;
-                    let newly = &mut self.newly;
-                    let time = self.time;
-                    for &t in tx {
-                        self.grid
-                            .for_each_within(self.positions[t as usize], radius, |u| {
-                                if stamp[u] != time {
-                                    stamp[u] = time;
-                                    newly.push(u as u32);
-                                }
-                            });
-                    }
-                } else {
-                    self.join_steps += 1;
-                    let refresh_ns = join_covered_incremental(
-                        &mut self.grid,
-                        &mut self.tx_grid,
-                        &mut self.inc,
-                        region,
-                        radius,
-                        max_move,
-                        &self.positions,
-                        &self.uninformed,
-                        &self.transmitters,
-                        tx,
-                        forward_probability.is_none(),
-                        &mut self.newly,
-                        self.phase_timing,
-                        self.par.as_ref().map(|p| &*p.pool),
-                    );
-                    self.phases.refresh_ns += refresh_ns;
-                }
-            }
-            EngineMode::Rebuild => {
-                // the seed implementation, kept as the benchmark
-                // baseline: fresh index over gathered transmitter
-                // positions, full scan of all agents
-                let tx_positions: Vec<Point> =
-                    tx.iter().map(|&t| self.positions[t as usize]).collect();
-                let index = GridIndex::for_radius(region, radius, &tx_positions)
-                    .expect("positions finite, radius validated");
-                for i in 0..self.positions.len() {
-                    if self.informed[i] || self.crashed[i] {
-                        continue;
-                    }
-                    if index.any_within(self.positions[i], radius, |_| true) {
-                        self.newly.push(i as u32);
-                    }
-                }
-            }
-            EngineMode::Oracle => {
-                // brute force: same visitation semantics, no index
-                for &u in &self.uninformed {
-                    let p = self.positions[u as usize];
-                    if tx
-                        .iter()
-                        .any(|&t| self.positions[t as usize].euclid_sq(p) <= r2)
-                    {
-                        self.newly.push(u);
-                    }
-                }
-            }
-            EngineMode::BucketJoin => {
-                // the join unconditionally, whatever the side sizes,
-                // with both sides re-binned from scratch (the PR 2
-                // engine, kept as the incremental path's baseline)
+            // Side policy of the adaptive engine, tuned by measurement:
+            // with very few transmitters, bin the uninformed mass (two
+            // cheap linear passes, fine buckets) and mark from each
+            // transmitter; otherwise run the bucket join — both sides
+            // binned coarse, occupied bucket pairs resolved in spatial
+            // order. The join's only cost over the per-agent probing it
+            // replaced is the O(U) uninformed-side re-bin, which is
+            // exactly the cost that vanishes as the worklist shrinks,
+            // while its coarse transmitter table stays cheaper to
+            // rebuild than a probe-grade fine one — so the join wins (or
+            // ties) from the dense mid-flood regime all the way down the
+            // tail.
+            EngineMode::Adaptive if tx.len() * 8 <= self.uninformed.len() => {
+                // few transmitters: index the uninformed mass, mark
+                // everyone in range of a transmitter. This clobbers
+                // `grid` with a fine-bucket layout, so the incremental
+                // join state (if any) dies with it.
                 self.inc.ready = false;
-                self.join_steps += 1;
-                join_covered(
-                    &mut self.grid,
-                    &mut self.tx_grid,
-                    region,
-                    radius,
-                    &self.positions,
-                    &self.uninformed,
-                    tx,
-                    &mut self.newly,
-                );
+                self.grid
+                    .rebuild_subset(region, radius, &self.positions, &self.uninformed)
+                    .expect("positions finite, radius validated");
+                let stamp = &mut self.stamp;
+                let newly = &mut self.newly;
+                let time = self.time;
+                for &t in tx {
+                    self.grid
+                        .for_each_within(self.positions[t as usize], radius, |u| {
+                            if stamp[u] != time {
+                                stamp[u] = time;
+                                newly.push(u as u32);
+                            }
+                        });
+                }
             }
-            EngineMode::Incremental => {
-                // the incrementally-maintained join unconditionally,
-                // whatever the side sizes
+            // the incrementally-maintained join: Adaptive once
+            // transmitters aren't scarce, Incremental whatever the side
+            // sizes
+            EngineMode::Adaptive | EngineMode::Incremental => {
                 self.join_steps += 1;
                 let refresh_ns = join_covered_incremental(
                     &mut self.grid,
@@ -1588,6 +1552,18 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                 );
                 self.phases.refresh_ns += refresh_ns;
             }
+            EngineMode::Oracle => {
+                // brute force: same visitation semantics, no index
+                for &u in &self.uninformed {
+                    let p = self.positions[u as usize];
+                    if tx
+                        .iter()
+                        .any(|&t| self.positions[t as usize].euclid_sq(p) <= r2)
+                    {
+                        self.newly.push(u);
+                    }
+                }
+            }
         }
     }
 
@@ -1605,16 +1581,16 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let r2 = radius * radius;
         let region = self.model.region();
         match self.engine {
-            EngineMode::Adaptive | EngineMode::BucketJoin | EngineMode::Incremental => {
+            EngineMode::Adaptive | EngineMode::Incremental => {
                 // Index the uninformed mass, gather candidates per
                 // transmitter. Unlike flooding there is no
                 // index-the-roster alternative here: bucketing hits per
                 // transmitter needs an O(candidate-pairs) side list,
                 // which is unbounded in dense regimes and would break
                 // the zero-steady-state-allocation budget — so
-                // BucketJoin and Incremental (whose join kernel cannot
-                // express per-transmitter sampling either) share this
-                // path and its random stream.
+                // Incremental (whose join kernel cannot express
+                // per-transmitter sampling either) shares this path and
+                // its random stream.
                 self.inc.ready = false;
                 self.grid
                     .rebuild_subset(region, radius, &self.positions, &self.uninformed)
@@ -1633,7 +1609,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
                     self.sample_and_mark(k);
                 }
             }
-            EngineMode::Rebuild | EngineMode::Oracle => {
+            EngineMode::Oracle => {
                 // brute-force oracle: scan the worklist per transmitter
                 for i in 0..self.transmitters.len() {
                     let t = self.transmitters[i];
@@ -1723,54 +1699,18 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 /// so the curve is flat past the knee and the exact value is shallow.
 const JOIN_BUCKET_FACTOR: f64 = 4.0;
 
-/// The bucket-join transmit kernel shared by [`EngineMode::BucketJoin`]
-/// and the adaptive dense regime: bins the uninformed worklist and the
-/// transmit roster into two retained buffers with one shared grid
-/// geometry, then marks every uninformed agent covered by a transmitter
-/// via the occupied-bucket-pair join.
-///
-/// A free function over split borrows so callers can keep `tx` borrowed
-/// from the sim while the two grids are rebuilt. Appends each covered
-/// agent to `newly` exactly once (a point lives in one bucket), so no
-/// stamp dedup is needed.
-#[allow(clippy::too_many_arguments)]
-fn join_covered(
-    grid: &mut GridIndexBuffer,
-    tx_grid: &mut GridIndexBuffer,
-    region: fastflood_geom::Rect,
-    radius: f64,
-    positions: &[Point],
-    uninformed: &[u32],
-    tx: &[u32],
-    newly: &mut Vec<u32>,
-) {
-    // one geometry for both sides, sized by the live population so the
-    // bucket resolution doesn't degrade as either side shrinks; coarse
-    // buckets (see JOIN_BUCKET_FACTOR) trade scan width for table
-    // locality and occupancy
-    let geometry_points = uninformed.len() + tx.len();
-    let bucket = JOIN_BUCKET_FACTOR * radius;
-    grid.rebuild_subset_shared(region, bucket, positions, uninformed, geometry_points)
-        .expect("positions finite, radius validated");
-    tx_grid
-        .rebuild_subset_shared(region, bucket, positions, tx, geometry_points)
-        .expect("positions finite, radius validated");
-    grid.join_covered_by(tx_grid, radius, |u| newly.push(u as u32));
-}
-
 // ---- checkpoint / restore ----------------------------------------------
 
 /// [`EngineMode`] encoded for the snapshot META section. Recorded for
 /// provenance only; restore does not enforce it — the divergence
 /// bisector deliberately restores one engine's checkpoints into runs of
 /// another engine, which is sound because every mode draws the same
-/// random stream.
+/// random stream. Codes 1 and 3 belong to two retired baseline engines;
+/// snapshots carrying them still decode and restore into any mode.
 fn engine_code(e: EngineMode) -> u8 {
     match e {
         EngineMode::Adaptive => 0,
-        EngineMode::Rebuild => 1,
         EngineMode::Oracle => 2,
-        EngineMode::BucketJoin => 3,
         EngineMode::Incremental => 4,
     }
 }

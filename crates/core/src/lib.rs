@@ -50,7 +50,7 @@ pub use checkpoint::{CheckpointError, Snapshot};
 pub use density::DensityMonitor;
 pub use flooding::{
     EngineMode, FloodingReport, FloodingSim, InitMode, Parallelism, Protocol, SimConfig, SimRng,
-    SourcePlacement, StepPhases,
+    SourcePlacement, StepPhases, UnknownEngine,
 };
 pub use params::SimParams;
 pub use trials::run_trials;

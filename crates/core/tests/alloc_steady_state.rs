@@ -17,6 +17,7 @@
 use fastflood_core::{EngineMode, FloodingSim, Parallelism, Protocol, SimConfig, SourcePlacement};
 use fastflood_mobility::Mrwp;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -99,30 +100,6 @@ fn full_flooding_steps_do_not_allocate() {
         0,
         "full-flooding steady state must not allocate"
     );
-}
-
-#[test]
-fn bucket_join_steps_do_not_allocate() {
-    let _window = MEASURE.lock().unwrap();
-    // the join rebuilds two shared-geometry grids per step; both must
-    // run entirely out of retained storage once warm
-    for protocol in [Protocol::Flooding, Protocol::Parsimonious { p: 0.5 }] {
-        let mut sim = warm_sparse_sim_with_engine(protocol, EngineMode::BucketJoin);
-        let before = allocations();
-        for _ in 0..200 {
-            sim.step();
-        }
-        let after = allocations();
-        assert!(
-            sim.bucket_join_steps() > 0,
-            "BucketJoin mode must run the join path"
-        );
-        assert_eq!(
-            after - before,
-            0,
-            "{protocol:?} bucket-join steady state must not allocate"
-        );
-    }
 }
 
 #[test]
@@ -317,29 +294,16 @@ fn parallel_chunked_steps_do_not_allocate() {
 }
 
 #[test]
-fn seed_rebuild_engine_allocates_every_step() {
+fn counter_counts_heap_allocations() {
     let _window = MEASURE.lock().unwrap();
-    // sanity check that the counter actually measures the engine: the
-    // baseline rebuild engine allocates its index every step
-    let model = Mrwp::new(100.0, 0.2).unwrap();
-    let mut sim = FloodingSim::new(
-        model,
-        SimConfig::new(800, 1.5)
-            .seed(7)
-            .source(SourcePlacement::Center)
-            .engine(EngineMode::Rebuild),
-    )
-    .unwrap();
-    sim.reserve_steps(256);
-    for _ in 0..50 {
-        sim.step();
-    }
+    // sanity check that the counter measures at all: every zero
+    // assertion above would pass vacuously if it did not
     let before = allocations();
-    for _ in 0..50 {
-        sim.step();
+    for i in 0..50 {
+        black_box(Vec::<u64>::with_capacity(black_box(16 + i)));
     }
     assert!(
         allocations() - before >= 50,
-        "rebuild baseline should allocate at least once per step"
+        "every fresh Vec buffer must be counted"
     );
 }

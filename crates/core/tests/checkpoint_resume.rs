@@ -5,7 +5,7 @@
 //! class, every thread count, with and without mid-flight fault
 //! schedules (crashes, revivals, extra sources).
 
-use fastflood_core::checkpoint::{self, Snapshot, TAG_FLOD, TAG_MRNG};
+use fastflood_core::checkpoint::{self, Snapshot, TAG_FLOD, TAG_META, TAG_MRNG};
 use fastflood_core::{
     CheckpointError, EngineMode, FloodingSim, Parallelism, Protocol, SimConfig, SourcePlacement,
 };
@@ -108,11 +108,9 @@ fn assert_resume_identical(cfg: SimConfig, k: u32, m: u32, faults: bool) {
     assert_eq!(resumed.report(), reference.report(), "{label}");
 }
 
-const ENGINES: [EngineMode; 5] = [
+const ENGINES: [EngineMode; 3] = [
     EngineMode::Adaptive,
-    EngineMode::Rebuild,
     EngineMode::Oracle,
-    EngineMode::BucketJoin,
     EngineMode::Incremental,
 ];
 
@@ -401,7 +399,44 @@ fn restore_rejects_incompatible_runs() {
     sim.restore(&snap).expect("engines are interchangeable");
 }
 
-/// Rebuilds a snapshot with one section's payload swapped.
+/// META engine codes 1 and 3 belong to two retired baseline engines.
+/// Snapshots that carry them still restore, and the continuation is
+/// bitwise-identical to the uninterrupted run.
+#[test]
+fn retired_engine_codes_still_restore() {
+    // META: n, seed, radius, time, source, informed, join steps,
+    // protocol tag and parameter, then the engine byte
+    const ENGINE_BYTE: usize = 8 + 8 + 8 + 4 + 8 + 8 + 4 + 1 + 8;
+    let cfg = config(
+        EngineMode::Adaptive,
+        Parallelism::Sequential,
+        Protocol::Flooding,
+        41,
+    );
+    let mut reference = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+    for _ in 0..8 {
+        step_fingerprint(&mut reference, true);
+    }
+    let snap = reference.snapshot();
+    let meta = snap.section(TAG_META).expect("present").to_vec();
+    assert_eq!(meta[ENGINE_BYTE], 0, "the adaptive engine's code");
+    let want: Vec<_> = (0..12)
+        .map(|_| step_fingerprint(&mut reference, true))
+        .collect();
+    for code in [1u8, 3] {
+        let mut patched = meta.clone();
+        patched[ENGINE_BYTE] = code;
+        let retired = with_section(&snap, TAG_META, patched);
+        let retired = Snapshot::decode(&retired.encode()).expect("decodes");
+        let mut sim = FloodingSim::new(model(), cfg.clone()).expect("valid config");
+        sim.restore(&retired)
+            .unwrap_or_else(|e| panic!("code {code}: {e}"));
+        let got: Vec<_> = (0..12).map(|_| step_fingerprint(&mut sim, true)).collect();
+        assert!(got == want, "code {code}: continuation diverged");
+    }
+}
+
+/// Re-creates a snapshot with one section's payload swapped.
 fn with_section(snap: &Snapshot, tag: [u8; 4], payload: Vec<u8>) -> Snapshot {
     let mut out = Snapshot::new();
     for t in snap.tags() {

@@ -100,7 +100,7 @@ impl<R> BlockRng<R> {
         (&self.inner, &self.buf, self.pos)
     }
 
-    /// Rebuilds a wrapper from [`BlockRng::snapshot_parts`] output,
+    /// Reconstructs a wrapper from [`BlockRng::snapshot_parts`] output,
     /// continuing the word stream bitwise-identically. Returns `None`
     /// when `pos` is out of range (`> RNG_BLOCK`).
     pub fn from_snapshot_parts(inner: R, buf: [u64; RNG_BLOCK], pos: usize) -> Option<BlockRng<R>> {

@@ -219,7 +219,7 @@ pub trait SnapshotState: Sized {
     /// Serializes this state into `w` (fixed layout per model).
     fn write_state(&self, w: &mut ByteWriter);
 
-    /// Rebuilds a state written by [`SnapshotState::write_state`];
+    /// Reconstructs a state written by [`SnapshotState::write_state`];
     /// `None` when the bytes are truncated or encode an invalid state.
     fn read_state(r: &mut ByteReader<'_>) -> Option<Self>;
 }

@@ -51,7 +51,7 @@ impl TurnRecorder {
         &self.timestamps[agent]
     }
 
-    /// Rebuilds a recorder from per-agent timestamp lists (the inverse
+    /// Reconstructs a recorder from per-agent timestamp lists (the inverse
     /// of [`TurnRecorder::agent_timestamps`], used by checkpoint
     /// restore). Returns `None` when any agent's list is not
     /// nondecreasing — such data cannot have come from a recorder.

@@ -7,9 +7,14 @@
 //! value tree — complete enough for the protocol (UTF-8 strings with
 //! standard escapes, `u64`-exact integers, nested arrays/objects),
 //! deliberately nothing more (no comments, no trailing commas, no
-//! non-finite numbers).
+//! non-finite numbers, no nesting past [`MAX_DEPTH`]).
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Protocol
+/// messages nest at most 3 deep; the cap keeps a hostile line of
+/// brackets from recursing the parser off a connection thread's stack.
+pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 ///
@@ -53,11 +58,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the byte offset of the first problem.
+    /// [`JsonError`] with the byte offset of the first problem,
+    /// including arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after value"));
@@ -194,8 +200,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH}")));
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -211,7 +221,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -239,7 +249,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected `:`"));
                 }
                 *pos += 1;
-                pairs.push((key, parse_value(b, pos)?));
+                pairs.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -361,6 +371,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // far past the cap: an error, not a stack overflow
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -257,12 +257,8 @@ fn build_spec(req: &Json) -> Result<JobSpec, String> {
         sc.steps = steps as u32;
     }
     let engine = match req.get("engine").and_then(Json::as_str) {
-        None | Some("adaptive") => EngineMode::Adaptive,
-        Some("rebuild") => EngineMode::Rebuild,
-        Some("oracle") => EngineMode::Oracle,
-        Some("bucket-join") => EngineMode::BucketJoin,
-        Some("incremental") => EngineMode::Incremental,
-        Some(other) => return Err(format!("unknown engine {other:?}")),
+        None => EngineMode::Adaptive,
+        Some(name) => name.parse::<EngineMode>().map_err(|e| e.to_string())?,
     };
     let parallelism = match req.get("parallelism").and_then(Json::as_str) {
         None | Some("seq") | Some("sequential") => Parallelism::Sequential,
@@ -318,6 +314,31 @@ mod tests {
             assert!(
                 error.contains(par) && error.contains("seq|chunked"),
                 "{par}: {error}"
+            );
+        }
+        assert_eq!(sup.stats().accepted, 0, "nothing may be admitted");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn submit_rejects_unknown_engine() {
+        let root = std::env::temp_dir().join(format!("floodd-engine-{}", std::process::id()));
+        let sup = Supervisor::new(SupervisorConfig {
+            workers: 1,
+            checkpoint_root: root.clone(),
+            ..SupervisorConfig::default()
+        });
+        let stop = AtomicBool::new(false);
+        for engine in ["rebuild", "bucket-join", "Adaptive"] {
+            let line = format!(
+                r#"{{"op":"submit","scenario":"uniform-baseline","n":60,"engine":"{engine}"}}"#
+            );
+            let response = handle_request(&line, &sup, &stop);
+            assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+            let error = response.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                error.contains(engine) && error.contains("adaptive|incremental|oracle"),
+                "{engine}: {error}"
             );
         }
         assert_eq!(sup.stats().accepted, 0, "nothing may be admitted");

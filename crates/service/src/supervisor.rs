@@ -49,8 +49,9 @@ use std::time::{Duration, Instant};
 /// Estimated resident footprint of one job, in bytes, as a function of
 /// its population size.
 ///
-/// The model is calibrated against the `checkpoint_probe` binary in
-/// `crates/bench`: a full engine+scenario snapshot measures ~9.5 MB at
+/// The model is calibrated against the checkpoint probe of the repo
+/// benchmark (`perfbench`, layer row `checkpoint.bytes_n100k`): a full
+/// engine+scenario snapshot measures ~9.5 MB at
 /// n = 100 000 (≈ 95 bytes/agent) with a small fixed header, and the
 /// live sim state is the same order. `64 KiB + 100·n` rounds that up —
 /// the budget is a backpressure lever, not an allocator accounting.

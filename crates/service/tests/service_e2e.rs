@@ -2,8 +2,9 @@
 //! TCP: chaos-panic restart with digest equality, impossible deadlines
 //! reported while the service keeps serving, SIGKILL of the whole
 //! daemon followed by a checkpoint resume in a fresh daemon, SIGTERM
-//! graceful drain with the resumable-state report on stdout, and a
-//! prompt exit on `shutdown` while an idle client stays connected.
+//! graceful drain with the resumable-state report on stdout, a prompt
+//! exit on `shutdown` while an idle client stays connected, and a
+//! hostile deeply nested request line answered without a crash.
 #![cfg(unix)]
 
 use fastflood_bench::scenario::{parse_scenario, run_scenario, trace_digest};
@@ -364,4 +365,33 @@ fn shutdown_exits_promptly_with_an_idle_client_connected() {
     assert!(status.success());
     daemon.read_drain_report();
     drop(idle);
+}
+
+#[test]
+fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
+    let root = tmp_root("nested");
+    let mut daemon = Daemon::spawn(&root, &[]);
+    let mut hostile = TcpStream::connect(&daemon.addr).expect("connect");
+    writeln!(hostile, "{}", "[".repeat(100_000)).expect("send nested line");
+    let mut line = String::new();
+    BufReader::new(hostile)
+        .read_line(&mut line)
+        .expect("read error response");
+    let resp = Json::parse(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"));
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{resp}"
+    );
+
+    let pong = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));
+    assert_eq!(
+        pong.get("pong").and_then(Json::as_bool),
+        Some(true),
+        "{pong}"
+    );
+    assert!(
+        daemon.child.try_wait().expect("poll floodd").is_none(),
+        "floodd must survive the nested line"
+    );
 }

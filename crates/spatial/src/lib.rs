@@ -291,15 +291,6 @@ impl GridIndex {
         n
     }
 
-    /// Whether any point within distance `r` of `p` satisfies `pred`.
-    ///
-    /// Scans stop at the first hit, which makes the
-    /// "does an informed agent cover me?" check in the flooding engine
-    /// sublinear on average.
-    pub fn any_within<F: FnMut(usize) -> bool>(&self, p: Point, r: f64, mut pred: F) -> bool {
-        !self.visit_within(p, r, |i, _| !pred(i))
-    }
-
     /// The index and distance of the point nearest to `p`, or `None` for
     /// an empty index.
     ///
@@ -1590,7 +1581,7 @@ impl GridIndexBuffer {
         self.cursor.extend_from_slice(&self.starts[..m * m]);
     }
 
-    /// Rebuilds the slack layout in place from the currently indexed
+    /// Re-lays the slack layout in place from the currently indexed
     /// entries (live rows plus pending overflow), granting every row
     /// fresh slack. `O(len + rows)`, entirely out of retained storage.
     fn relayout(&mut self) {
@@ -2632,7 +2623,7 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.count_within(Point::new(50.0, 50.0), 100.0), 0);
-        assert!(!idx.any_within(Point::new(0.0, 0.0), 100.0, |_| true));
+        assert!(idx.indices_within(Point::new(0.0, 0.0), 100.0).is_empty());
     }
 
     #[test]
@@ -2652,22 +2643,6 @@ mod tests {
         let mut hits = idx.indices_within(Point::new(45.0, 50.0), 25.0);
         hits.sort();
         assert_eq!(hits, vec![2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn any_within_early_exit_and_pred() {
-        let pts = [
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 1.0),
-            Point::new(90.0, 90.0),
-        ];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        assert!(idx.any_within(Point::new(0.0, 0.0), 3.0, |_| true));
-        // predicate filters
-        assert!(idx.any_within(Point::new(0.0, 0.0), 3.0, |i| i == 1));
-        assert!(!idx.any_within(Point::new(0.0, 0.0), 3.0, |i| i == 2));
-        // nothing near the far corner within 3
-        assert!(!idx.any_within(Point::new(60.0, 60.0), 3.0, |_| true));
     }
 
     #[test]

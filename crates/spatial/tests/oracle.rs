@@ -351,20 +351,6 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(got, expected, "cluster {} flip {}", cluster, flip);
     }
-
-    #[test]
-    fn any_within_consistent_with_count(
-        pts in points(60),
-        qx in 0.0..SIDE,
-        qy in 0.0..SIDE,
-        r in 0.0..60.0,
-    ) {
-        let region = Rect::square(SIDE).unwrap();
-        let grid = GridIndex::build(region, 10.0, &pts).unwrap();
-        let q = Point::new(qx, qy);
-        let any = grid.any_within(q, r, |_| true);
-        prop_assert_eq!(any, grid.count_within(q, r) > 0);
-    }
 }
 
 #[test]
