@@ -11,29 +11,20 @@
 //!   `Vec<u32>` (ordered compaction on removal), so the transmit phase
 //!   touches only agents that can still change state, iterates them in
 //!   memory order, and completion is an `O(1)` emptiness check.
-//! * **Adaptive side selection.** Full flooding needs "which uninformed
-//!   agents are within `R` of a transmitter?". The answer side is
-//!   chosen by measured cost: with few transmitters the engine bins the
-//!   uninformed mass into a reusable [`GridIndexBuffer`] (two cheap
-//!   linear passes, fine buckets) and *marks* from each transmitter;
-//!   once transmitters stop being scarce it switches to the bucket
-//!   join. (The per-agent *probe* path this replaced — bin the
-//!   transmitters, disk-query from each uninformed agent — measured
-//!   strictly no better than the join in every regime at every `n`:
-//!   the join's extra `O(U)` re-bin shrinks with the worklist while
-//!   its coarse transmitter table is cheaper to rebuild than a
-//!   probe-grade fine one.)
-//! * **Bucket join.** In the dense large-`n` regime (the mid-flood
-//!   state the paper's analysis lives in) per-agent probing is bound by
-//!   scattered bucket lookups. The join instead bins *both* sides into
+//! * **Bucket join.** Full flooding needs "which uninformed agents are
+//!   within `R` of a transmitter?". The engine bins *both* sides into
 //!   two [`GridIndexBuffer`]s sharing one coarse grid geometry and
 //!   joins them bucket-against-bucket
 //!   ([`GridIndexBuffer::join_covered_by`]): each occupied uninformed
 //!   bucket resolves its ≤ 3×3 facing transmitter CSR slices once
 //!   (AABB-pruned) and streams dense slice-×-slice distance loops, so
-//!   the worklist is consumed in spatially sorted (probe-order) memory
-//!   order. [`EngineMode::Adaptive`] auto-engages this path whenever
-//!   transmitters aren't scarce.
+//!   the worklist is consumed in spatially sorted memory order. This is
+//!   the one transmit path of [`EngineMode::Adaptive`] for full and
+//!   parsimonious flooding, from the first step to the tail. Even where
+//!   transmitters are scarce (a sparse flood from the suburb, below the
+//!   connectivity radius) it beat marking from each transmitter over a
+//!   per-step re-bin of the uninformed mass: the re-bin costs `O(U)`
+//!   every step, while the maintained join mostly defers.
 //! * **Temporally-coherent incremental re-binning.** In the MRWP speed
 //!   regime agents move `v ≪ bucket` per step, so a binning stays
 //!   *valid up to a known staleness bound* for many steps. The join's
@@ -53,8 +44,6 @@
 //!   slack rebuilds remain as fallbacks: membership-churn spikes (an
 //!   informed-set jump above 1/8 of the live population) and crashes
 //!   (roster surgery invalidates the diff bookkeeping).
-//!   [`EngineMode::Adaptive`] runs this path by default in the join
-//!   regime; [`EngineMode::Incremental`] forces it everywhere.
 //! * **Batched SoA move pass with measured drift.** The move phase is
 //!   one [`Mobility::step_batch`] call over the model's batched state
 //!   layout — for MRWP a hot/cold split (`MrwpBatch`) whose 32-byte hot
@@ -86,11 +75,10 @@
 //! Complexity per step, with `T` live transmitters and `U` live
 //! uninformed agents: moving is `O(n)` (every agent moves, one fused
 //! increment each via [`Mobility::step_batch`]); full-flooding transmit
-//! is `O(U + T·d̄)` early in the flood (one linear re-bin of the
-//! uninformed mass plus a disk query per transmitter, `d̄` the
-//! per-query bucket work) and `O(churn + pairs)` amortized afterwards
-//! (membership surgery plus the occupied-bucket-pair join, whose scan
-//! work is the number of close bucket pairs; every
+//! is one `O(U + T)` slack rebuild of both grids at the start (and
+//! after a churn spike or crash) and `O(churn + pairs)` amortized
+//! otherwise (membership surgery plus the occupied-bucket-pair join,
+//! whose scan work is the number of close bucket pairs; every
 //! `⌊(bucket−R)/4v⌋`-th step pays one `O(U + T)` refresh pass).
 //! See `docs/BENCHMARKING.md` for how step throughput is measured.
 
@@ -178,19 +166,18 @@ pub enum Protocol {
 
 /// Which transmit implementation a [`FloodingSim`] runs.
 ///
-/// All modes implement identical protocol semantics; they differ in cost
+/// Both modes implement identical protocol semantics; they differ in cost
 /// and in what they exist to prove.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineMode {
-    /// The production engine: with scarce transmitters, a reusable
-    /// [`GridIndexBuffer`] over the uninformed mass queried from each
-    /// transmitter; otherwise the shared-geometry bucket join of both
-    /// sides, whose grids are **incrementally maintained** across steps
-    /// (diff re-bins exploiting temporal coherence, full slack rebuilds
-    /// on churn spikes and crashes). Shrinking sorted worklist, zero
-    /// steady-state allocations; the regime boundary is chosen by
-    /// measured cost.
+    /// The production engine: full and parsimonious flooding run the
+    /// shared-geometry bucket join of both sides on every step, whose
+    /// grids are **incrementally maintained** across steps (diff
+    /// re-bins exploiting temporal coherence, full slack rebuilds on
+    /// churn spikes and crashes); gossip bins the uninformed mass and
+    /// samples from each transmitter's disk. Shrinking sorted worklist,
+    /// zero steady-state allocations.
     #[default]
     Adaptive,
     /// The adaptive algorithm with every spatial query replaced by a
@@ -198,25 +185,11 @@ pub enum EngineMode {
     /// random stream as [`EngineMode::Adaptive`], so runs must match
     /// step for step (property-tested across protocols and crashes).
     Oracle,
-    /// Always-on incrementally-maintained bucket join: every
-    /// full-flooding/parsimonious transmit runs the join over the two
-    /// slack-layout grids kept in sync by
-    /// [`GridIndexBuffer::update_moved`], regardless of side sizes —
-    /// even where [`EngineMode::Adaptive`] would still mark from scarce
-    /// transmitters. Exists so tests exercise the incremental
-    /// machinery unconditionally, including its full-rebuild
-    /// fallbacks. (Gossip shares the adaptive gossip path.) Identical
-    /// protocol semantics and random streams to all other modes.
-    Incremental,
 }
 
 impl EngineMode {
     /// Every mode, in the order their names are listed in errors.
-    pub const ALL: [EngineMode; 3] = [
-        EngineMode::Adaptive,
-        EngineMode::Incremental,
-        EngineMode::Oracle,
-    ];
+    pub const ALL: [EngineMode; 2] = [EngineMode::Adaptive, EngineMode::Oracle];
 
     /// The mode's name as command-line flags, the `floodd` protocol and
     /// JSON reports spell it; [`str::parse`] is its inverse.
@@ -227,13 +200,12 @@ impl EngineMode {
     /// for mode in EngineMode::ALL {
     ///     assert_eq!(mode.name().parse(), Ok(mode));
     /// }
-    /// let err = "rebuild".parse::<EngineMode>().unwrap_err();
-    /// assert_eq!(err.to_string(), "unknown engine \"rebuild\" (adaptive|incremental|oracle)");
+    /// let err = "incremental".parse::<EngineMode>().unwrap_err();
+    /// assert_eq!(err.to_string(), "unknown engine \"incremental\" (adaptive|oracle)");
     /// ```
     pub fn name(self) -> &'static str {
         match self {
             EngineMode::Adaptive => "adaptive",
-            EngineMode::Incremental => "incremental",
             EngineMode::Oracle => "oracle",
         }
     }
@@ -556,15 +528,13 @@ pub struct FloodingSim<M: Mobility, R: Rng + SeedableRng + Send = SimRng> {
     /// `rank[a]` = position of agent `a` in `transmitters`, `u32::MAX`
     /// otherwise.
     rank: Vec<u32>,
-    /// Reusable spatial index over whichever side is smaller (adaptive
-    /// mark/probe paths); the uninformed side of the bucket join.
+    /// Reusable spatial index: the uninformed side of the bucket join,
+    /// or gossip's fine-bucket index over the uninformed mass.
     grid: GridIndexBuffer,
     /// Second retained index: the transmitter side of the bucket join,
     /// rebuilt with the same grid geometry as `grid`.
     tx_grid: GridIndexBuffer,
-    /// Diagnostic: steps whose transmit ran the bucket join (forced by
-    /// [`EngineMode::Incremental`] or auto-engaged by the adaptive
-    /// policy).
+    /// Diagnostic: steps whose transmit ran the bucket join.
     join_steps: u32,
     /// Cross-step synchronization state of the incremental re-bin path.
     inc: IncrementalSync,
@@ -1154,10 +1124,9 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     }
 
     /// Diagnostic: how many executed steps ran the bucket-join transmit
-    /// path (forced by [`EngineMode::Incremental`], or auto-engaged by
-    /// [`EngineMode::Adaptive`] in the dense regime). Used by tests to
-    /// assert the adaptive policy actually engages the join, and handy
-    /// when tuning the crossover.
+    /// path — every [`EngineMode::Adaptive`] full-flooding or
+    /// parsimonious step that had both transmitters and uninformed
+    /// agents (gossip and [`EngineMode::Oracle`] never join).
     #[inline]
     pub fn bucket_join_steps(&self) -> u32 {
         self.join_steps
@@ -1178,10 +1147,10 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
     /// // sparse regime: the flood advances a few agents per step, so
     /// // the membership diff stays far below the churn-spike threshold
     /// let model = Mrwp::new(40.0, 0.4)?;
-    /// let config = SimConfig::new(400, 1.8).seed(9).engine(EngineMode::Incremental);
+    /// let config = SimConfig::new(400, 1.8).seed(9).engine(EngineMode::Adaptive);
     /// let mut sim = FloodingSim::new(model, config)?;
     /// sim.run(5_000);
-    /// // the forced incremental engine re-bins by diff nearly every step
+    /// // the maintained join re-bins by diff nearly every step
     /// assert!(sim.incremental_diff_steps() > sim.incremental_full_rebuilds());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -1192,7 +1161,7 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 
     /// Diagnostic: join steps that resynchronized the incremental grids
     /// with **full** slack rebuilds — the cold start plus every
-    /// churn-spike/crash/mark-path fallback since.
+    /// churn-spike/crash/gossip fallback since.
     #[inline]
     pub fn incremental_full_rebuilds(&self) -> u32 {
         self.inc.full_rebuilds
@@ -1495,44 +1464,10 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let r2 = radius * radius;
         let region = self.model.region();
         match self.engine {
-            // Side policy of the adaptive engine, tuned by measurement:
-            // with very few transmitters, bin the uninformed mass (two
-            // cheap linear passes, fine buckets) and mark from each
-            // transmitter; otherwise run the bucket join — both sides
+            // the incrementally-maintained bucket join: both sides
             // binned coarse, occupied bucket pairs resolved in spatial
-            // order. The join's only cost over the per-agent probing it
-            // replaced is the O(U) uninformed-side re-bin, which is
-            // exactly the cost that vanishes as the worklist shrinks,
-            // while its coarse transmitter table stays cheaper to
-            // rebuild than a probe-grade fine one — so the join wins (or
-            // ties) from the dense mid-flood regime all the way down the
-            // tail.
-            EngineMode::Adaptive if tx.len() * 8 <= self.uninformed.len() => {
-                // few transmitters: index the uninformed mass, mark
-                // everyone in range of a transmitter. This clobbers
-                // `grid` with a fine-bucket layout, so the incremental
-                // join state (if any) dies with it.
-                self.inc.ready = false;
-                self.grid
-                    .rebuild_subset(region, radius, &self.positions, &self.uninformed)
-                    .expect("positions finite, radius validated");
-                let stamp = &mut self.stamp;
-                let newly = &mut self.newly;
-                let time = self.time;
-                for &t in tx {
-                    self.grid
-                        .for_each_within(self.positions[t as usize], radius, |u| {
-                            if stamp[u] != time {
-                                stamp[u] = time;
-                                newly.push(u as u32);
-                            }
-                        });
-                }
-            }
-            // the incrementally-maintained join: Adaptive once
-            // transmitters aren't scarce, Incremental whatever the side
-            // sizes
-            EngineMode::Adaptive | EngineMode::Incremental => {
+            // order
+            EngineMode::Adaptive => {
                 self.join_steps += 1;
                 let refresh_ns = join_covered_incremental(
                     &mut self.grid,
@@ -1581,16 +1516,13 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
         let r2 = radius * radius;
         let region = self.model.region();
         match self.engine {
-            EngineMode::Adaptive | EngineMode::Incremental => {
+            EngineMode::Adaptive => {
                 // Index the uninformed mass, gather candidates per
-                // transmitter. Unlike flooding there is no
-                // index-the-roster alternative here: bucketing hits per
-                // transmitter needs an O(candidate-pairs) side list,
-                // which is unbounded in dense regimes and would break
-                // the zero-steady-state-allocation budget — so
-                // Incremental (whose join kernel cannot express
-                // per-transmitter sampling either) shares this path and
-                // its random stream.
+                // transmitter. The bucket join cannot serve here:
+                // bucketing hits per transmitter needs an
+                // O(candidate-pairs) side list, which is unbounded in
+                // dense regimes and would break the
+                // zero-steady-state-allocation budget.
                 self.inc.ready = false;
                 self.grid
                     .rebuild_subset(region, radius, &self.positions, &self.uninformed)
@@ -1705,13 +1637,14 @@ const JOIN_BUCKET_FACTOR: f64 = 4.0;
 /// provenance only; restore does not enforce it — the divergence
 /// bisector deliberately restores one engine's checkpoints into runs of
 /// another engine, which is sound because every mode draws the same
-/// random stream. Codes 1 and 3 belong to two retired baseline engines;
-/// snapshots carrying them still decode and restore into any mode.
+/// random stream. Codes 1 and 3 belong to two retired baseline engines
+/// and code 4 to the retired always-join mode (the join is now what
+/// `Adaptive` runs); snapshots carrying them still decode and restore
+/// into either mode.
 fn engine_code(e: EngineMode) -> u8 {
     match e {
         EngineMode::Adaptive => 0,
         EngineMode::Oracle => 2,
-        EngineMode::Incremental => 4,
     }
 }
 
@@ -1728,27 +1661,6 @@ fn get_opt_u32(r: &mut ByteReader<'_>) -> Option<Option<u32>> {
         1 => Some(Some(v)),
         _ => None,
     }
-}
-
-fn put_u32_list(w: &mut ByteWriter, xs: &[u32]) {
-    w.put_u64(xs.len() as u64);
-    for &x in xs {
-        w.put_u32(x);
-    }
-}
-
-fn get_u32_list(r: &mut ByteReader<'_>) -> Option<Vec<u32>> {
-    let len = usize::try_from(r.get_u64()?).ok()?;
-    // a length longer than the bytes behind it cannot be honest, and
-    // must not drive with_capacity
-    if len > r.remaining() / 4 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_u32()?);
-    }
-    Some(out)
 }
 
 /// Shorthand constructor for section-level corruption errors.
@@ -1860,15 +1772,15 @@ where
         snap.push(TAG_POSN, po.into_bytes());
 
         let mut fl = ByteWriter::new();
-        put_u32_list(&mut fl, &self.uninformed);
-        put_u32_list(&mut fl, &self.transmitters);
-        put_u32_list(&mut fl, &self.spread);
+        fl.put_u32_list(&self.uninformed);
+        fl.put_u32_list(&self.transmitters);
+        fl.put_u32_list(&self.spread);
         snap.push(TAG_FLOD, fl.into_bytes());
 
         if let Some(turns) = &self.turns {
             let mut w = ByteWriter::new();
             for a in 0..n {
-                put_u32_list(&mut w, turns.agent_timestamps(a));
+                w.put_u32_list(turns.agent_timestamps(a));
             }
             snap.push(TAG_TURN, w.into_bytes());
         }
@@ -2107,9 +2019,9 @@ where
         // ---- FLOD: rosters and spread curve ----------------------------
         let mut r = ByteReader::new(snap.require(TAG_FLOD)?);
         let flod_err = || corrupt(TAG_FLOD, "truncated roster");
-        let uninformed = get_u32_list(&mut r).ok_or_else(flod_err)?;
-        let transmitters = get_u32_list(&mut r).ok_or_else(flod_err)?;
-        let spread = get_u32_list(&mut r).ok_or_else(flod_err)?;
+        let uninformed = r.get_u32_list().ok_or_else(flod_err)?;
+        let transmitters = r.get_u32_list().ok_or_else(flod_err)?;
+        let spread = r.get_u32_list().ok_or_else(flod_err)?;
         if !r.is_empty() {
             return Err(corrupt(TAG_FLOD, "trailing bytes"));
         }
@@ -2150,7 +2062,7 @@ where
             let mut r = ByteReader::new(snap.require(TAG_TURN)?);
             let mut lists = Vec::with_capacity(n);
             for _ in 0..n {
-                lists.push(get_u32_list(&mut r).ok_or(corrupt(TAG_TURN, "truncated"))?);
+                lists.push(r.get_u32_list().ok_or(corrupt(TAG_TURN, "truncated"))?);
             }
             if !r.is_empty() {
                 return Err(corrupt(TAG_TURN, "trailing bytes"));
@@ -2221,8 +2133,8 @@ struct IncrementalSync {
     /// The grids hold valid slack layouts for the current geometry and
     /// the membership-diff bookkeeping is intact. Cleared at
     /// construction and by every event that breaks the chain: crashes
-    /// (roster surgery + live-population change), the adaptive mark
-    /// path and gossip (both clobber `grid` with a fine-bucket layout).
+    /// (roster surgery + live-population change) and gossip (clobbers
+    /// `grid` with a fine-bucket layout).
     ready: bool,
     /// Prefix of `transmitters` the grids are synced to. The suffix —
     /// agents informed since the last sync — is the next step's
@@ -2236,7 +2148,7 @@ struct IncrementalSync {
     /// this fits the staleness budget carved out of the bucket margin.
     stale: f64,
     /// Join steps resynced with full slack rebuilds (cold start, and
-    /// every churn-spike/crash/mark fallback since).
+    /// every churn-spike/crash/gossip fallback since).
     full_rebuilds: u32,
     /// Join steps resynced via a diff (deferred membership-only or a
     /// refresh/relocate pass) rather than full rebuilds.
@@ -2261,8 +2173,8 @@ struct IncrementalSync {
 /// mid-flood steps sit orders of magnitude below the threshold.
 const CHURN_SPIKE_DIVISOR: usize = 8;
 
-/// The incrementally-maintained bucket-join transmit kernel shared by
-/// [`EngineMode::Incremental`] and the adaptive dense regime.
+/// The incrementally-maintained bucket-join transmit kernel of
+/// [`EngineMode::Adaptive`] flooding.
 ///
 /// Exploits temporal coherence three ways, falling back a level
 /// whenever a budget runs out or the chain breaks:

@@ -6,10 +6,9 @@
 //!   identical across pool sizes {1, 2, 8} *and* the environment
 //!   default (`threads: 0`), so `FASTFLOOD_THREADS` can only change
 //!   wall-clock, never results;
-//! * **engine lockstep under parallelism** — the parallel Incremental
-//!   and auto-engaged Adaptive paths (sharded stale join, sharded
-//!   refresh) inform exactly the oracle's sets, for every protocol,
-//!   including mid-run crashes;
+//! * **engine lockstep under parallelism** — the parallel Adaptive
+//!   join (sharded stale join, sharded refresh) informs exactly the
+//!   oracle's sets, for every protocol, including mid-run crashes;
 //! * **sequential default** — `SimConfig` still defaults to the
 //!   single-stream engine, whose path reads none of the chunk
 //!   machinery (the mobility-level lockstep suites pin it bitwise to
@@ -67,7 +66,7 @@ fn fingerprint(sim: &FloodingSim<Mrwp>) -> (Vec<(u64, u64)>, Vec<Option<u32>>, V
 }
 
 /// The headline determinism property: a multi-chunk flood (several
-/// `MOVE_CHUNK` chunks, adaptive engine auto-engaging the parallel
+/// `MOVE_CHUNK` chunks, adaptive engine running the parallel
 /// incremental join with refreshes and deferrals) is bitwise identical
 /// across thread counts and the environment default.
 #[test]
@@ -88,7 +87,7 @@ fn chunked_trajectories_bitwise_identical_across_thread_counts() {
         let report = s.run(4_000);
         assert!(report.completed, "flood must complete");
         assert!(
-            s.bucket_join_steps() > 0 && s.incremental_diff_steps() > 0,
+            s.incremental_diff_steps() > 0,
             "the run must exercise the parallel join machinery"
         );
         fingerprint(&s)
@@ -121,7 +120,7 @@ fn chunked_invariance_survives_mid_run_crashes() {
             0.4,
             77,
             Protocol::Flooding,
-            EngineMode::Incremental,
+            EngineMode::Adaptive,
             Parallelism::Chunked { threads },
             0,
         );
@@ -210,7 +209,6 @@ fn lockstep_parallel(
     n: usize,
     seed: u64,
     protocol: Protocol,
-    under_test: EngineMode,
     parallelism: Parallelism,
     crash_stride: usize,
     steps: u32,
@@ -228,7 +226,7 @@ fn lockstep_parallel(
             crash_stride,
         )
     };
-    let mut tested = build(under_test);
+    let mut tested = build(EngineMode::Adaptive);
     let mut oracle = build(EngineMode::Oracle);
     for t in 1..=steps {
         let a = tested.step();
@@ -236,22 +234,20 @@ fn lockstep_parallel(
         prop_assert_eq!(
             a,
             b,
-            "step {} newly-informed counts diverged (n={}, seed={}, {:?}, {:?})",
+            "step {} newly-informed counts diverged (n={}, seed={}, {:?})",
             t,
             n,
             seed,
-            protocol,
-            under_test
+            protocol
         );
         prop_assert_eq!(
             tested.informed(),
             oracle.informed(),
-            "step {} informed sets diverged (n={}, seed={}, {:?}, {:?})",
+            "step {} informed sets diverged (n={}, seed={}, {:?})",
             t,
             n,
             seed,
-            protocol,
-            under_test
+            protocol
         );
         if tested.all_informed() {
             break;
@@ -263,7 +259,7 @@ fn lockstep_parallel(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Parallel Incremental == parallel Oracle: both sims share chunk
+    /// Parallel Adaptive == parallel Oracle: both sims share chunk
     /// streams (identical moves), so any divergence is a bug in the
     /// sharded join/refresh, not noise.
     #[test]
@@ -273,8 +269,7 @@ proptest! {
         stride in 0usize..6,
     ) {
         lockstep_parallel(
-            n, seed, Protocol::Flooding, EngineMode::Incremental,
-            Parallelism::Chunked { threads: 2 }, stride, 400,
+            n, seed, Protocol::Flooding, Parallelism::Chunked { threads: 2 }, stride, 400,
         );
     }
 
@@ -283,8 +278,7 @@ proptest! {
     #[test]
     fn parallel_incremental_env_default_matches_oracle(seed in 0u64..500, n in 40usize..120) {
         lockstep_parallel(
-            n, seed, Protocol::Flooding, EngineMode::Incremental,
-            Parallelism::Chunked { threads: 0 }, 3, 400,
+            n, seed, Protocol::Flooding, Parallelism::Chunked { threads: 0 }, 3, 400,
         );
     }
 
@@ -297,8 +291,7 @@ proptest! {
         // the coin subset rides the main stream; only the uninformed
         // grid is maintained (and refreshed sharded)
         lockstep_parallel(
-            n, seed, Protocol::Parsimonious { p }, EngineMode::Incremental,
-            Parallelism::Chunked { threads: 2 }, 0, 400,
+            n, seed, Protocol::Parsimonious { p }, Parallelism::Chunked { threads: 2 }, 0, 400,
         );
     }
 
@@ -307,16 +300,15 @@ proptest! {
         // gossip transmit stays sequential (shared adaptive path); the
         // parallel move pass must leave its sampling stream untouched
         lockstep_parallel(
-            n, seed, Protocol::Gossip { k }, EngineMode::Adaptive,
-            Parallelism::Chunked { threads: 2 }, 3, 400,
+            n, seed, Protocol::Gossip { k }, Parallelism::Chunked { threads: 2 }, 3, 400,
         );
     }
 }
 
-/// Dense regime at real size: the adaptive policy auto-engages the
-/// incrementally maintained join with the sharded parallel kernels, and
-/// stays lockstep-identical to the brute-force oracle — including
-/// refresh steps (sharded `update_moved`) and deferred stale joins.
+/// Dense regime at real size: the incrementally maintained join with
+/// the sharded parallel kernels stays lockstep-identical to the
+/// brute-force oracle — including refresh steps (sharded
+/// `update_moved`) and deferred stale joins.
 #[test]
 fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
     let n = 4_096;
@@ -342,17 +334,13 @@ fn parallel_adaptive_engages_join_in_dense_regime_and_matches_oracle() {
         assert_eq!(
             adaptive.informed(),
             oracle.informed(),
-            "parallel auto-engaged join diverged from the oracle"
+            "parallel join diverged from the oracle"
         );
         if adaptive.all_informed() {
             break;
         }
     }
     assert!(adaptive.all_informed(), "dense flood must complete");
-    assert!(
-        adaptive.bucket_join_steps() > 0,
-        "the dense regime must have auto-engaged the bucket join"
-    );
     assert!(
         adaptive.incremental_deferred_steps() > 0,
         "some steps must defer re-binning entirely (stale parallel join)"
@@ -383,7 +371,7 @@ fn parallel_incremental_survives_mid_run_crashes_and_resyncs() {
         )
         .unwrap()
     };
-    let mut inc = build(EngineMode::Incremental);
+    let mut inc = build(EngineMode::Adaptive);
     let mut oracle = build(EngineMode::Oracle);
     for t in 1..=3000u32 {
         if t % 40 == 0 {
@@ -397,7 +385,7 @@ fn parallel_incremental_survives_mid_run_crashes_and_resyncs() {
         assert_eq!(
             inc.informed(),
             oracle.informed(),
-            "step {t}: parallel incremental diverged after mid-run crashes"
+            "step {t}: parallel join diverged after mid-run crashes"
         );
         if inc.all_informed() {
             break;
@@ -425,7 +413,7 @@ fn cloned_parallel_sims_replay_identically() {
         0.2,
         9,
         Protocol::Flooding,
-        EngineMode::Incremental,
+        EngineMode::Adaptive,
         Parallelism::Chunked { threads: 2 },
         0,
     );

@@ -120,6 +120,14 @@ impl ByteWriter {
         self.put_u64(bytes.len() as u64);
         self.put_bytes(bytes);
     }
+
+    /// Appends a length-prefixed (`u64` LE) list of `u32`s.
+    pub fn put_u32_list(&mut self, xs: &[u32]) {
+        self.put_u64(xs.len() as u64);
+        for &x in xs {
+            self.put_u32(x);
+        }
+    }
 }
 
 /// Cursor over snapshot payload bytes; every getter returns `None` on
@@ -201,6 +209,22 @@ impl<'a> ByteReader<'a> {
         let len = usize::try_from(len).ok()?;
         self.take(len)
     }
+
+    /// Reads a list written by [`ByteWriter::put_u32_list`]; `None` on
+    /// truncation or a length that cannot fit the remaining bytes.
+    pub fn get_u32_list(&mut self) -> Option<Vec<u32>> {
+        let len = usize::try_from(self.get_u64()?).ok()?;
+        // a length longer than the bytes behind it cannot be honest, and
+        // must not drive with_capacity
+        if len > self.remaining() / 4 {
+            return None;
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(self.get_u32()?);
+        }
+        Some(out)
+    }
 }
 
 /// Per-agent mobility state that can round-trip through a checkpoint
@@ -239,6 +263,8 @@ mod tests {
         w.put_point(Point::new(1.5, -2.25));
         w.put_axis(Axis::Y);
         w.put_block(b"abc");
+        w.put_u32_list(&[7, 0, u32::MAX]);
+        w.put_u32_list(&[]);
         assert!(!w.is_empty());
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -250,6 +276,8 @@ mod tests {
         assert_eq!(r.get_point(), Some(Point::new(1.5, -2.25)));
         assert_eq!(r.get_axis(), Some(Axis::Y));
         assert_eq!(r.get_block(), Some(&b"abc"[..]));
+        assert_eq!(r.get_u32_list(), Some(vec![7, 0, u32::MAX]));
+        assert_eq!(r.get_u32_list(), Some(vec![]));
         assert!(r.is_empty());
     }
 
@@ -279,6 +307,22 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_block(), None);
+    }
+
+    #[test]
+    fn u32_list_rejects_truncation_and_hostile_lengths() {
+        let mut w = ByteWriter::new();
+        w.put_u32_list(&[1, 2, 3]);
+        let mut bytes = w.into_bytes();
+        bytes.truncate(bytes.len() - 1);
+        assert_eq!(ByteReader::new(&bytes).get_u32_list(), None);
+        // a huge claimed length over a few real bytes is refused before
+        // anything is allocated for it
+        let mut w = ByteWriter::new();
+        w.put_u64(u64::MAX / 2);
+        w.put_u32(9);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).get_u32_list(), None);
     }
 
     #[test]

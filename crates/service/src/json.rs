@@ -16,6 +16,12 @@ use std::fmt;
 /// brackets from recursing the parser off a connection thread's stack.
 pub const MAX_DEPTH: usize = 32;
 
+/// Longest request line `floodd` reads, in bytes, newline excluded.
+/// Protocol requests are a few hundred bytes (an inline scenario TOML a
+/// few KiB); the cap keeps a client that never sends a newline from
+/// growing one buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// A parsed JSON value.
 ///
 /// Objects keep their key order in a `Vec` — the protocol never needs

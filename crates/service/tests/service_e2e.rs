@@ -3,14 +3,16 @@
 //! reported while the service keeps serving, SIGKILL of the whole
 //! daemon followed by a checkpoint resume in a fresh daemon, SIGTERM
 //! graceful drain with the resumable-state report on stdout, a prompt
-//! exit on `shutdown` while an idle client stays connected, and a
-//! hostile deeply nested request line answered without a crash.
+//! exit on `shutdown` while an idle client stays connected, and hostile
+//! request lines (deeply nested, or longer than the line cap) answered
+//! without a crash.
 #![cfg(unix)]
 
 use fastflood_bench::scenario::{parse_scenario, run_scenario, trace_digest};
 use fastflood_core::{EngineMode, Parallelism};
+use fastflood_service::json::MAX_LINE_BYTES;
 use fastflood_service::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -393,5 +395,39 @@ fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
     assert!(
         daemon.child.try_wait().expect("poll floodd").is_none(),
         "floodd must survive the nested line"
+    );
+}
+
+#[test]
+fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let root = tmp_root("overlong");
+    let daemon = Daemon::spawn(&root, &[]);
+    // a well-formed ping padded just past the cap: read whole, it would
+    // be answered with a pong
+    let pad = "x".repeat(MAX_LINE_BYTES);
+    let mut hostile = TcpStream::connect(&daemon.addr).expect("connect");
+    writeln!(hostile, r#"{{"op":"ping","pad":"{pad}"}}"#).expect("send long line");
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read error response");
+    let resp = Json::parse(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"));
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{resp}"
+    );
+    let error = resp.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("longer than"), "{resp}");
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("connection closes cleanly");
+    assert!(rest.is_empty(), "one reply, then EOF");
+
+    let pong = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));
+    assert_eq!(
+        pong.get("pong").and_then(Json::as_bool),
+        Some(true),
+        "{pong}"
     );
 }

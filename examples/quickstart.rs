@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Flood from an agent near the center, in the stationary phase
     // (perfect simulation — no warm-up). The transmit engine can be
-    // pinned explicitly (Adaptive is the default; Incremental and Oracle
-    // are lockstep-identical per seed and exist for testing — see
+    // pinned explicitly (Adaptive is the default; Oracle is
+    // lockstep-identical per seed and exists for testing — see
     // docs/ARCHITECTURE.md).
     let model = Mrwp::new(params.side(), params.speed())?;
     let mut sim = FloodingSim::new(

@@ -24,13 +24,13 @@ cargo run --release -p fastflood-bench --bin scenarios -- --quick > /dev/null
 cargo run --release -p fastflood-bench --bin scenarios -- --quick \
   --parallelism chunked > /dev/null
 # the cross-mode agreement harness again under real 2-thread dispatch:
-# every scenario under each of the three engine modes (adaptive,
-# incremental, oracle), bitwise trace agreement within each
-# determinism class regardless of thread count
+# every scenario under both engine modes (adaptive, oracle), bitwise
+# trace agreement within each determinism class regardless of thread
+# count
 FASTFLOOD_THREADS=2 cargo test -q -p fastflood-bench --test scenario_agreement
 # the checkpoint-resume property suite again under real 2-thread
 # dispatch: restore + step must stay bitwise-identical to the
-# uninterrupted run for all three engine modes and both parallelism
+# uninterrupted run for both engine modes and both parallelism
 # flavors even when the chunked kernels really run on worker threads
 FASTFLOOD_THREADS=2 cargo test -q -p fastflood-core --test checkpoint_resume
 # kill-resume smoke: SIGKILL a checkpointing scenario run mid-flood,
