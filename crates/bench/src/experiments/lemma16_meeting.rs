@@ -18,7 +18,7 @@ use crate::table::{fmt_f64, Table};
 use fastflood_core::{SimParams, Zone, ZoneMap};
 use fastflood_geom::Point;
 use fastflood_mobility::{Mobility, Mrwp};
-use fastflood_spatial::GridIndex;
+use fastflood_spatial::GridIndexBuffer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -133,6 +133,7 @@ pub fn run(config: &Config) -> Output {
     let return_window = (3.0 * s_over_v).ceil() as u32;
     let mut courier_returned = 0usize;
     let mut couriers_tracked = 0usize;
+    let mut index = GridIndexBuffer::new();
 
     for dt in 1..=budget {
         for st in &mut states {
@@ -141,14 +142,15 @@ pub fn run(config: &Config) -> Output {
         let positions: Vec<Point> = states.iter().map(|s| model.position(s)).collect();
         if met < watched.len() {
             let courier_pos: Vec<Point> = couriers.iter().map(|&i| positions[i]).collect();
-            let index = GridIndex::for_radius(model.region(), meet_radius, &courier_pos)
+            index
+                .rebuild(model.region(), meet_radius, &courier_pos)
                 .expect("finite positions");
             for (w, &agent) in watched.iter().enumerate() {
                 if meeting[w].is_some() {
                     continue;
                 }
                 let mut partner = None;
-                index.visit_within(positions[agent], meet_radius, |ci, _| {
+                index.visit_within(positions[agent], meet_radius, |ci| {
                     if couriers[ci] != agent {
                         partner = Some(couriers[ci]);
                         false

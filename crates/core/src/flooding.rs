@@ -1423,9 +1423,11 @@ impl<M: Mobility, R: Rng + SeedableRng + Send> FloodingSim<M, R> {
 
     /// Full flooding (or parsimonious when `forward_probability` is set).
     ///
-    /// Adaptive path: draw the transmit roster, re-bin whichever of
-    /// (roster, uninformed) is smaller into the retained grid, query
-    /// from the other side. Appends to `self.newly` (unsorted).
+    /// Draws the transmit roster, then finds the uninformed agents
+    /// within `R` of it. `Adaptive` runs the bucket join of the
+    /// maintained uninformed grid against the roster grid
+    /// (`join_covered_incremental`); `Oracle` checks every pair. Appends
+    /// to `self.newly` (unsorted).
     ///
     /// `max_move` is this step's **measured** displacement bound from
     /// the batched move pass, the incremental path's staleness

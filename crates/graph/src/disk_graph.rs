@@ -2,7 +2,7 @@
 
 use crate::{Components, UnionFind};
 use fastflood_geom::{Point, Rect};
-use fastflood_spatial::{GridIndex, SpatialError};
+use fastflood_spatial::{GridIndexBuffer, SpatialError};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -47,7 +47,8 @@ impl DiskGraph {
         radius: f64,
         positions: &[Point],
     ) -> Result<DiskGraph, SpatialError> {
-        let index = GridIndex::for_radius(region, radius, positions)?;
+        let mut index = GridIndexBuffer::new();
+        index.rebuild(region, radius, positions)?;
         let n = positions.len();
         let mut degree = vec![0u32; n + 1];
         let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -236,6 +237,18 @@ mod tests {
         assert_eq!(g.num_edges(), 1);
         let g2 = DiskGraph::build(square(), 1.999, &pts).unwrap();
         assert_eq!(g2.num_edges(), 0);
+    }
+
+    #[test]
+    fn non_square_region_finds_pairs_across_short_axis_rows() {
+        // a 100×10 strip with R = 5: the pair 4.9 apart straddles a row
+        // on the short axis, so buckets must be at least R tall for the
+        // sweep to compare it
+        let strip = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 10.0)).unwrap();
+        let pts = [Point::new(50.0, 0.5), Point::new(50.0, 5.4)];
+        let g = DiskGraph::build(strip, 5.0, &pts).unwrap();
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.neighbors(0), &[1]);
     }
 
     #[test]

@@ -97,7 +97,24 @@ fn handle_connection(
     sup: &Supervisor,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
+    let writer = stream.try_clone()?;
+    let result = serve_lines(stream, &writer, sup, stop);
+    // `serve` keeps its own handle on the socket until the next accept
+    // or the drain, so dropping ours would not close it: end the peer's
+    // reads here, on every exit
+    let _ = writer.shutdown(Shutdown::Write);
+    result
+}
+
+/// Answers request lines until the peer closes, the daemon stops, or
+/// the peer stops speaking the protocol (a line over
+/// [`MAX_LINE_BYTES`] or not UTF-8: one error reply, then the close).
+fn serve_lines(
+    stream: TcpStream,
+    mut writer: &TcpStream,
+    sup: &Supervisor,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
@@ -116,16 +133,20 @@ fn handle_connection(
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
-        } else if buf.len() > MAX_LINE_BYTES {
-            let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
-            writeln!(writer, "{}", fail(error))?;
-            writer.flush()?;
-            linger_close(&mut reader, &writer);
-            break;
         }
-        // not UTF-8: the connection is not speaking the protocol
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
+        let line = if buf.len() > MAX_LINE_BYTES {
+            Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            std::str::from_utf8(&buf).map_err(|_| "request line is not UTF-8".to_string())
+        };
+        let line = match line {
+            Ok(line) => line,
+            Err(error) => {
+                writeln!(writer, "{}", fail(error))?;
+                writer.flush()?;
+                linger_close(&mut reader, writer);
+                break;
+            }
         };
         if line.trim().is_empty() {
             continue;
@@ -140,13 +161,11 @@ fn handle_connection(
     Ok(())
 }
 
-/// Ends a connection whose peer may still be sending. `serve` keeps a
-/// handle on every socket until the drain, so returning alone would
-/// leave the peer waiting; closing the write half sends it EOF after
-/// the reply. Input is then read and dropped, into a fixed buffer, until
-/// the peer closes or for at most half a second: a socket closed with
-/// unread input is reset, and the reset can discard the reply before
-/// the peer reads it.
+/// Ends a connection whose peer may still be sending: closes the write
+/// half, so the peer sees EOF after the reply, then reads and drops
+/// input, into a fixed buffer, until the peer closes or for at most half
+/// a second. A socket closed with unread input is reset, and the reset
+/// can discard the reply before the peer reads it.
 fn linger_close(reader: &mut impl Read, stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + Duration::from_millis(500);

@@ -4,8 +4,8 @@
 //! daemon followed by a checkpoint resume in a fresh daemon, SIGTERM
 //! graceful drain with the resumable-state report on stdout, a prompt
 //! exit on `shutdown` while an idle client stays connected, and hostile
-//! request lines (deeply nested, or longer than the line cap) answered
-//! without a crash.
+//! request lines (deeply nested, longer than the line cap, or not UTF-8)
+//! answered without a crash and, where refused, closed with EOF.
 #![cfg(unix)]
 
 use fastflood_bench::scenario::{parse_scenario, run_scenario, trace_digest};
@@ -422,6 +422,41 @@ fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
     reader
         .read_to_end(&mut rest)
         .expect("connection closes cleanly");
+    assert!(rest.is_empty(), "one reply, then EOF");
+
+    let pong = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));
+    assert_eq!(
+        pong.get("pong").and_then(Json::as_bool),
+        Some(true),
+        "{pong}"
+    );
+}
+
+#[test]
+fn non_utf8_request_line_is_refused_and_the_peer_sees_eof() {
+    let root = tmp_root("non-utf8");
+    let daemon = Daemon::spawn(&root, &[]);
+    let mut hostile = TcpStream::connect(&daemon.addr).expect("connect");
+    // a hang here would otherwise last until some other client connects
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    hostile
+        .write_all(b"\xff\xfe\n")
+        .expect("send non-UTF-8 line");
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply within 5 s");
+    let resp = Json::parse(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"));
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{resp}"
+    );
+    let error = resp.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("UTF-8"), "{resp}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF within 5 s");
     assert!(rest.is_empty(), "one reply, then EOF");
 
     let pong = daemon.request(&Json::obj(vec![("op", Json::str("ping"))]));

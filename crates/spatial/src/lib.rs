@@ -4,18 +4,14 @@
 //! agent, "is any informed agent within Euclidean distance `R`?". With `n`
 //! agents this must not be `O(n²)`. This crate provides:
 //!
-//! * [`GridIndex`] — an immutable bucket-grid index built in `O(n)`,
-//!   answering radius queries by scanning only the buckets overlapping the
-//!   query disk;
-//! * [`GridIndexBuffer`] — the same grid in **reusable, allocation-free**
-//!   form: retained CSR storage re-binned in place every rebuild, entries
-//!   split into parallel `ids` / packed-coordinate arrays so the inner
-//!   distance loop streams dense 16-byte pairs. This is the engine behind
-//!   the flooding simulator's adaptive transmit path: it can index an
-//!   arbitrary *subset* of an agent population (the transmitters or the
-//!   shrinking uninformed set, whichever is smaller) without copying
-//!   positions, and after warm-up a rebuild performs **zero heap
-//!   allocations**;
+//! * [`GridIndexBuffer`] — the one bucket grid: retained CSR storage
+//!   re-binned in place every rebuild, entries split into an `ids` array
+//!   and a packed-coordinate array so the inner distance loop streams
+//!   dense 16-byte pairs. It can index an arbitrary *subset* of an agent
+//!   population without copying positions, and after warm-up a rebuild
+//!   performs **zero heap allocations**. It answers disk queries
+//!   ([`GridIndexBuffer::visit_within`]) and the all-pairs sweep behind
+//!   the disk graph ([`GridIndexBuffer::for_each_pair_within`]);
 //! * **incremental maintenance** — a buffer built with
 //!   [`GridIndexBuffer::rebuild_incremental`] lays its CSR rows out with
 //!   *slack capacity* and can then be kept in sync with a moving
@@ -34,26 +30,32 @@
 //!   walks the occupied buckets of one side
 //!   ([`GridIndexBuffer::occupied_buckets`]) and resolves each against
 //!   the ≤ 3×3 facing CSR slices of the other, with a cheap per-pair
-//!   AABB distance prune. This is the transmit kernel of the flooding
-//!   engine's dense large-`n` regime (cf. Clementi–Monti–Silvestri,
-//!   *Fast Flooding over Manhattan*, PODC 2010);
+//!   AABB distance prune. This is the flooding engine's transmit kernel
+//!   on every full-flooding and parsimonious step (cf.
+//!   Clementi–Monti–Silvestri, *Fast Flooding over Manhattan*, PODC
+//!   2010);
 //! * [`BruteForceIndex`] — a deliberately naive `O(n)`-per-query oracle
-//!   used for correctness tests and baseline benches.
+//!   used by the correctness tests.
 //!
 //! # Examples
 //!
 //! ```
 //! use fastflood_geom::{Point, Rect};
-//! use fastflood_spatial::GridIndex;
+//! use fastflood_spatial::GridIndexBuffer;
 //!
 //! let region = Rect::square(100.0)?;
 //! let pts = vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0), Point::new(50.0, 50.0)];
-//! let index = GridIndex::build(region, 5.0, &pts)?;
+//! let mut index = GridIndexBuffer::new();
+//! index.rebuild(region, 5.0, &pts)?;
 //!
-//! let mut hits = index.indices_within(Point::new(0.0, 0.0), 3.0);
+//! let mut hits = Vec::new();
+//! index.for_each_within(Point::new(0.0, 0.0), 3.0, |i| hits.push(i));
 //! hits.sort();
 //! assert_eq!(hits, vec![0, 1]);
-//! assert_eq!(index.count_within(Point::new(50.0, 50.0), 1.0), 1);
+//!
+//! let mut pairs = Vec::new();
+//! index.for_each_pair_within(5.0, |i, j| pairs.push((i, j)));
+//! assert_eq!(pairs, vec![(0, 1)]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -107,302 +109,27 @@ pub struct UpdateStats {
     pub relayout: bool,
 }
 
-/// A uniform bucket-grid index over a fixed set of positions.
+/// A reusable bucket-grid index with retained storage.
 ///
-/// Buckets have side at least `bucket_size` (the requested size, enlarged
-/// so that an integer number of buckets tiles the region). Queries with
-/// radius `r ≤ bucket_size` touch at most a 3×3 block of buckets; larger
-/// radii are supported and scan proportionally more buckets.
+/// Buckets have side at least `bucket_size` on **both** axes (the count
+/// per axis comes from the region's shorter side), so a query of radius
+/// `r ≤ bucket_size` touches at most a 3×3 block of buckets; larger radii
+/// are supported and scan proportionally more buckets. The count per
+/// axis is also capped near `2·√k` for `k` indexed points, so memory
+/// stays `O(k)` even for tiny bucket sizes. Positions outside the region
+/// are clamped into the border buckets, which makes the index total.
 ///
-/// Build time and memory are `O(n + buckets)`; the number of buckets per
-/// axis is capped near `2·√n` so memory never dominates, even for tiny
-/// bucket sizes.
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    region: Rect,
-    m: usize,
-    bucket_len: f64,
-    /// CSR layout: `starts[b]..starts[b+1]` indexes `entries` for bucket `b`.
-    starts: Vec<u32>,
-    /// `(original index, position)` sorted by bucket, position copied for
-    /// cache-friendly distance checks.
-    entries: Vec<(u32, Point)>,
-}
-
-impl GridIndex {
-    /// Builds an index over `positions` with buckets of side at least
-    /// `bucket_size`.
-    ///
-    /// Positions outside `region` are clamped into the border buckets (the
-    /// simulator keeps agents inside the region; clamping makes the index
-    /// total rather than partial).
-    ///
-    /// # Errors
-    ///
-    /// * [`SpatialError::BadBucketSize`] — non-positive or non-finite size;
-    /// * [`SpatialError::NotFinite`] — a position with NaN/infinite
-    ///   coordinates.
-    pub fn build(
-        region: Rect,
-        bucket_size: f64,
-        positions: &[Point],
-    ) -> Result<GridIndex, SpatialError> {
-        if bucket_size <= 0.0 || !bucket_size.is_finite() {
-            return Err(SpatialError::BadBucketSize(bucket_size));
-        }
-        if let Some(index) = positions.iter().position(|p| !p.is_finite()) {
-            return Err(SpatialError::NotFinite { index });
-        }
-        let side = region.width().max(region.height());
-        // buckets of side >= bucket_size; cap count so memory stays O(n)
-        let cap = (2.0 * (positions.len().max(1) as f64).sqrt()).ceil() as usize + 1;
-        let m = ((side / bucket_size).floor() as usize).clamp(1, cap.max(1));
-        let bucket_len_x = region.width() / m as f64;
-        let bucket_len_y = region.height() / m as f64;
-        // the region is square in all simulator uses; keep one length
-        let bucket_len = bucket_len_x.max(bucket_len_y);
-
-        let bucket_of = |p: Point| -> usize {
-            let cx = (((p.x - region.min().x) / bucket_len_x).floor().max(0.0) as usize).min(m - 1);
-            let cy = (((p.y - region.min().y) / bucket_len_y).floor().max(0.0) as usize).min(m - 1);
-            cy * m + cx
-        };
-
-        let mut counts = vec![0u32; m * m + 1];
-        for &p in positions {
-            counts[bucket_of(p) + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let starts = counts.clone();
-        let mut cursor = counts;
-        let mut entries = vec![(0u32, Point::ORIGIN); positions.len()];
-        for (i, &p) in positions.iter().enumerate() {
-            let b = bucket_of(p);
-            let at = cursor[b] as usize;
-            entries[at] = (i as u32, p);
-            cursor[b] += 1;
-        }
-        Ok(GridIndex {
-            region,
-            m,
-            bucket_len,
-            starts,
-            entries,
-        })
-    }
-
-    /// Builds an index sized for radius-`r` queries (`bucket_size = r`).
-    ///
-    /// # Errors
-    ///
-    /// As [`GridIndex::build`].
-    pub fn for_radius(
-        region: Rect,
-        r: f64,
-        positions: &[Point],
-    ) -> Result<GridIndex, SpatialError> {
-        GridIndex::build(region, r, positions)
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index holds no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The indexed region.
-    #[inline]
-    pub fn region(&self) -> Rect {
-        self.region
-    }
-
-    /// Effective bucket side length.
-    #[inline]
-    pub fn bucket_len(&self) -> f64 {
-        self.bucket_len
-    }
-
-    /// Buckets per axis.
-    #[inline]
-    pub fn buckets_per_axis(&self) -> usize {
-        self.m
-    }
-
-    fn bucket_range(&self, lo: f64, origin: f64, extent: f64) -> usize {
-        let len = extent / self.m as f64;
-        (((lo - origin) / len).floor().max(0.0) as usize).min(self.m - 1)
-    }
-
-    /// Calls `f(index, position)` for every point within Euclidean distance
-    /// `r` of `p` (inclusive).
-    pub fn for_each_within<F: FnMut(usize, Point)>(&self, p: Point, r: f64, mut f: F) {
-        self.visit_within(p, r, |i, q| {
-            f(i, q);
-            true
-        });
-    }
-
-    /// Visits points within distance `r` of `p`, stopping early when
-    /// `f` returns `false`. Returns `false` iff the scan was stopped early.
-    pub fn visit_within<F: FnMut(usize, Point) -> bool>(&self, p: Point, r: f64, mut f: F) -> bool {
-        debug_assert!(r >= 0.0, "query radius must be nonnegative");
-        let r2 = r * r;
-        let min = self.region.min();
-        let w = self.region.width();
-        let h = self.region.height();
-        let cx0 = self.bucket_range(p.x - r, min.x, w);
-        let cx1 = self.bucket_range(p.x + r, min.x, w);
-        let cy0 = self.bucket_range(p.y - r, min.y, h);
-        let cy1 = self.bucket_range(p.y + r, min.y, h);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let b = cy * self.m + cx;
-                let lo = self.starts[b] as usize;
-                let hi = self.starts[b + 1] as usize;
-                for &(i, q) in &self.entries[lo..hi] {
-                    if p.euclid_sq(q) <= r2 && !f(i as usize, q) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Indices of all points within distance `r` of `p` (unordered).
-    pub fn indices_within(&self, p: Point, r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_within(p, r, |i, _| out.push(i));
-        out
-    }
-
-    /// Number of points within distance `r` of `p`.
-    pub fn count_within(&self, p: Point, r: f64) -> usize {
-        let mut n = 0;
-        self.for_each_within(p, r, |_, _| n += 1);
-        n
-    }
-
-    /// The index and distance of the point nearest to `p`, or `None` for
-    /// an empty index.
-    ///
-    /// Searches expanding rings of buckets, so typical cost is a handful
-    /// of buckets rather than the whole index.
-    pub fn nearest(&self, p: Point) -> Option<(usize, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        let mut radius = self.bucket_len;
-        let diameter = (self.region.width().powi(2) + self.region.height().powi(2)).sqrt()
-            + self.region.distance(p) * 2.0
-            + self.bucket_len;
-        loop {
-            self.for_each_within(p, radius, |i, q| {
-                let d = p.euclid(q);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            });
-            // a hit within the scanned radius is provably the global
-            // nearest once radius covers its distance
-            if let Some((_, d)) = best {
-                if d <= radius {
-                    return best;
-                }
-            }
-            if radius > diameter {
-                return best;
-            }
-            radius *= 2.0;
-        }
-    }
-
-    /// Calls `f(i, j)` once for every unordered pair of distinct points at
-    /// Euclidean distance at most `r`, with `i < j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` exceeds the bucket side (`bucket_len`): the
-    /// half-neighborhood sweep would miss pairs. Build the index with
-    /// `bucket_size >= r` (e.g. via [`GridIndex::for_radius`]).
-    pub fn for_each_pair_within<F: FnMut(usize, usize)>(&self, r: f64, mut f: F) {
-        assert!(
-            r <= self.bucket_len * (1.0 + 1e-12),
-            "pair query radius {r} exceeds bucket side {}",
-            self.bucket_len
-        );
-        let r2 = r * r;
-        let m = self.m;
-        for cy in 0..m {
-            for cx in 0..m {
-                let b = cy * m + cx;
-                let lo = self.starts[b] as usize;
-                let hi = self.starts[b + 1] as usize;
-                let bucket = &self.entries[lo..hi];
-                // pairs inside the bucket
-                for (k, &(i, pi)) in bucket.iter().enumerate() {
-                    for &(j, pj) in &bucket[k + 1..] {
-                        if pi.euclid_sq(pj) <= r2 {
-                            emit(&mut f, i, j);
-                        }
-                    }
-                }
-                // half neighborhood: E, NW, N, NE — covers each bucket pair once
-                for (dx, dy) in [(1isize, 0isize), (-1, 1), (0, 1), (1, 1)] {
-                    let nx = cx as isize + dx;
-                    let ny = cy as isize + dy;
-                    if nx < 0 || ny < 0 || nx >= m as isize || ny >= m as isize {
-                        continue;
-                    }
-                    let nb = ny as usize * m + nx as usize;
-                    let nlo = self.starts[nb] as usize;
-                    let nhi = self.starts[nb + 1] as usize;
-                    for &(i, pi) in bucket {
-                        for &(j, pj) in &self.entries[nlo..nhi] {
-                            if pi.euclid_sq(pj) <= r2 {
-                                emit(&mut f, i, j);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        fn emit<F: FnMut(usize, usize)>(f: &mut F, a: u32, b: u32) {
-            let (a, b) = (a as usize, b as usize);
-            if a < b {
-                f(a, b);
-            } else {
-                f(b, a);
-            }
-        }
-    }
-}
-
-/// A reusable bucket-grid index with retained storage and SoA entries.
-///
-/// Where [`GridIndex::build`] allocates fresh CSR vectors on every call,
-/// a `GridIndexBuffer` is rebuilt **in place**: bucket tables and entry
-/// arrays keep their capacity across rebuilds, so a simulation loop that
+/// The buffer is rebuilt **in place**: bucket tables and entry arrays
+/// keep their capacity across rebuilds, so a simulation loop that
 /// re-bins moving points every step performs no steady-state heap
-/// allocations. Entries are stored as parallel `ids`/`xs`/`ys` arrays
-/// (structure-of-arrays), which keeps the hot distance loop on flat
-/// `f64` data.
+/// allocations. Entries are stored as an `ids` array beside a packed
+/// `(x, y)` coordinate array, which keeps the hot distance loop on dense
+/// `f64` pairs and reads `ids` only on hits.
 ///
 /// The buffer can index an arbitrary subset of a larger population via
 /// [`GridIndexBuffer::rebuild_subset`]; queries then report the original
-/// population ids. The bucket count per axis adapts to the subset size
-/// (capped near `2·√k` for `k` indexed points) so small frontiers get
-/// proportionally small bucket tables. When two subsets of the same
+/// population ids. The bucket cap follows the subset size, so small
+/// frontiers get proportionally small bucket tables. When two subsets of the same
 /// population must be compared bucket-against-bucket, rebuild both with
 /// [`GridIndexBuffer::rebuild_subset_shared`] (which derives the
 /// geometry from an explicit population count instead of the subset
@@ -639,7 +366,10 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`].
+    /// * [`SpatialError::BadBucketSize`] — non-positive or non-finite
+    ///   `bucket_size`;
+    /// * [`SpatialError::NotFinite`] — a position with NaN/infinite
+    ///   coordinates; the buffer degrades to an empty index.
     pub fn rebuild(
         &mut self,
         region: Rect,
@@ -654,7 +384,7 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`]. A subset id out of bounds of `positions`
+    /// As [`GridIndexBuffer::rebuild`]. A subset id out of bounds of `positions`
     /// panics.
     pub fn rebuild_subset(
         &mut self,
@@ -694,7 +424,7 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`]. A subset id out of bounds of `positions`
+    /// As [`GridIndexBuffer::rebuild`]. A subset id out of bounds of `positions`
     /// panics.
     pub fn rebuild_subset_shared(
         &mut self,
@@ -758,7 +488,7 @@ impl GridIndexBuffer {
     ///
     /// # Errors
     ///
-    /// As [`GridIndex::build`]. A subset id out of bounds of `positions`
+    /// As [`GridIndexBuffer::rebuild`]. A subset id out of bounds of `positions`
     /// panics.
     pub fn rebuild_incremental(
         &mut self,
@@ -1845,7 +1575,7 @@ impl GridIndexBuffer {
     /// dense slice-×-slice distance loops with first-hit early exit per
     /// point. Both sides stream in bucket order, so the inner loops read
     /// sequential memory and the per-bucket slice set stays cache-hot —
-    /// the win over per-agent probing in dense large-`n` populations.
+    /// the win over one scattered disk query per point.
     ///
     /// Each id is reported at most once (a point lives in exactly one
     /// bucket). Allocation-free: the slice set lives in a fixed array.
@@ -2331,6 +2061,81 @@ impl GridIndexBuffer {
     pub fn any_within(&self, p: Point, r: f64) -> bool {
         !self.visit_within(p, r, |_| false)
     }
+
+    /// Calls `f(i, j)` once for every unordered pair of distinct indexed
+    /// points at Euclidean distance at most `r` (inclusive), with the
+    /// original ids ordered `i < j` — the edge sweep of the disk graph.
+    ///
+    /// Each occupied bucket is swept against itself and its half
+    /// neighbourhood (east, north-west, north, north-east), which visits
+    /// every adjacent bucket pair exactly once. Only the live rows are
+    /// read, so tight and slack layouts answer alike.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fastflood_geom::{Point, Rect};
+    /// use fastflood_spatial::GridIndexBuffer;
+    ///
+    /// let region = Rect::square(10.0)?;
+    /// let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
+    /// let mut buf = GridIndexBuffer::new();
+    /// buf.rebuild(region, 1.0, &pts)?;
+    /// let mut pairs = Vec::new();
+    /// buf.for_each_pair_within(1.0, |i, j| pairs.push((i, j)));
+    /// pairs.sort();
+    /// assert_eq!(pairs, vec![(0, 1), (1, 2)]); // 0 and 2 are 2 apart
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` exceeds the shorter bucket side while the grid has
+    /// more than one bucket per axis: the half-neighbourhood sweep would
+    /// miss pairs. Rebuild with `bucket_size >= r`.
+    pub fn for_each_pair_within<F: FnMut(usize, usize)>(&self, r: f64, mut f: F) {
+        let side = self.bucket_len_x.min(self.bucket_len_y);
+        assert!(
+            self.m == 1 || r <= side * (1.0 + 1e-12),
+            "pair query radius {r} exceeds bucket side {side}"
+        );
+        let r2 = r * r;
+        let m = self.m;
+        // entry `e` against the live slots `lo..hi`
+        let mut sweep = |e: usize, lo: usize, hi: usize| {
+            let ((x, y), i) = (self.pts[e], self.ids[e] as usize);
+            for (&(qx, qy), &j) in self.pts[lo..hi].iter().zip(&self.ids[lo..hi]) {
+                let (dx, dy) = (x - qx, y - qy);
+                if dx * dx + dy * dy <= r2 {
+                    let j = j as usize;
+                    if i < j {
+                        f(i, j);
+                    } else {
+                        f(j, i);
+                    }
+                }
+            }
+        };
+        for &b in &self.occupied {
+            let b = b as usize;
+            let (cx, cy) = (b % m, b / m);
+            let (lo, hi) = (self.starts[b] as usize, self.ends[b] as usize);
+            for e in lo..hi {
+                sweep(e, e + 1, hi);
+            }
+            for (dx, dy) in [(1isize, 0isize), (-1, 1), (0, 1), (1, 1)] {
+                let (nx, ny) = (cx as isize + dx, cy as isize + dy);
+                if nx < 0 || nx >= m as isize || ny >= m as isize {
+                    continue;
+                }
+                let nb = ny as usize * m + nx as usize;
+                let (nlo, nhi) = (self.starts[nb] as usize, self.ends[nb] as usize);
+                for e in lo..hi {
+                    sweep(e, nlo, nhi);
+                }
+            }
+        }
+    }
 }
 
 /// Slot capacity of a slack-layout row currently holding `count` live
@@ -2385,10 +2190,10 @@ impl Slice {
 }
 
 /// An `O(n)`-per-query reference index with the same semantics as
-/// [`GridIndex`].
+/// [`GridIndexBuffer`]'s disk and pair queries.
 ///
-/// Exists as the correctness oracle for property tests and as the baseline
-/// in the `spatial` Criterion bench; not intended for production use.
+/// Exists as the correctness oracle for the tests; not intended for
+/// production use.
 #[derive(Debug, Clone)]
 pub struct BruteForceIndex {
     positions: Vec<Point>,
@@ -2423,20 +2228,6 @@ impl BruteForceIndex {
             .filter(|(_, q)| p.euclid_sq(**q) <= r2)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Number of points within distance `r` of `p`.
-    pub fn count_within(&self, p: Point, r: f64) -> usize {
-        self.indices_within(p, r).len()
-    }
-
-    /// The index and distance of the point nearest to `p`.
-    pub fn nearest(&self, p: Point) -> Option<(usize, f64)> {
-        self.positions
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (i, p.euclid(*q)))
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite"))
     }
 
     /// All unordered pairs `(i, j)`, `i < j`, within distance `r`.
@@ -2606,58 +2397,24 @@ mod tests {
     }
 
     #[test]
-    fn build_validates() {
-        assert!(GridIndex::build(region(), 0.0, &[]).is_err());
-        assert!(GridIndex::build(region(), -1.0, &[]).is_err());
-        assert!(GridIndex::build(region(), f64::NAN, &[]).is_err());
-        let bad = [Point::new(f64::NAN, 0.0)];
-        assert!(matches!(
-            GridIndex::build(region(), 1.0, &bad),
-            Err(SpatialError::NotFinite { index: 0 })
-        ));
-    }
-
-    #[test]
-    fn empty_index() {
-        let idx = GridIndex::build(region(), 5.0, &[]).unwrap();
-        assert!(idx.is_empty());
-        assert_eq!(idx.len(), 0);
-        assert_eq!(idx.count_within(Point::new(50.0, 50.0), 100.0), 0);
-        assert!(idx.indices_within(Point::new(0.0, 0.0), 100.0).is_empty());
-    }
-
-    #[test]
     fn query_includes_boundary_distance() {
         let pts = [Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
-        let idx = GridIndex::build(region(), 10.0, &pts).unwrap();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 10.0, &pts).unwrap();
         // exactly at distance 5: inclusive
-        assert_eq!(idx.count_within(Point::new(0.0, 0.0), 5.0), 2);
-        assert_eq!(idx.count_within(Point::new(0.0, 0.0), 4.999), 1);
-    }
-
-    #[test]
-    fn query_radius_larger_than_bucket() {
-        let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 10.0, 50.0)).collect();
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        // radius 25 spans several buckets
-        let mut hits = idx.indices_within(Point::new(45.0, 50.0), 25.0);
-        hits.sort();
-        assert_eq!(hits, vec![2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn visit_within_early_stop_reports() {
-        let pts = [Point::new(1.0, 1.0), Point::new(1.5, 1.0)];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        let mut seen = 0;
-        let completed = idx.visit_within(Point::new(1.0, 1.0), 2.0, |_, _| {
-            seen += 1;
-            false // stop immediately
-        });
-        assert!(!completed);
-        assert_eq!(seen, 1);
-        let completed = idx.visit_within(Point::new(1.0, 1.0), 2.0, |_, _| true);
-        assert!(completed);
+        let count = |r: f64| {
+            let mut n = 0;
+            buf.for_each_within(Point::new(0.0, 0.0), r, |_| n += 1);
+            n
+        };
+        assert_eq!(count(5.0), 2);
+        assert_eq!(count(4.999), 1);
+        let mut pairs = Vec::new();
+        buf.for_each_pair_within(5.0, |i, j| pairs.push((i, j)));
+        assert_eq!(pairs, vec![(0, 1)]);
+        pairs.clear();
+        buf.for_each_pair_within(4.999, |i, j| pairs.push((i, j)));
+        assert!(pairs.is_empty());
     }
 
     #[test]
@@ -2669,9 +2426,10 @@ mod tests {
             }
         }
         let r = 8.0;
-        let idx = GridIndex::for_radius(region(), r, &pts).unwrap();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), r, &pts).unwrap();
         let mut got = Vec::new();
-        idx.for_each_pair_within(r, |i, j| got.push((i, j)));
+        buf.for_each_pair_within(r, |i, j| got.push((i, j)));
         got.sort();
         let mut expected = BruteForceIndex::build(&pts).pairs_within(r);
         expected.sort();
@@ -2682,10 +2440,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds bucket side")]
     fn pair_query_radius_too_large_panics() {
-        let pts = [Point::new(1.0, 1.0)];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        // bucket_len is at least 5 but far below 1000
-        idx.for_each_pair_within(1000.0, |_, _| {});
+        let pts = [Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild_subset_shared(region(), 5.0, &pts, &[0, 1], 10_000)
+            .unwrap();
+        // the bucket side is 5, far below 10
+        buf.for_each_pair_within(10.0, |_, _| {});
+    }
+
+    #[test]
+    fn one_bucket_grid_answers_any_pair_radius() {
+        // a bucket wider than the region: the single bucket holds every
+        // point, so no pair can be missed whatever the radius
+        let pts = [Point::new(1.0, 1.0), Point::new(99.0, 99.0)];
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 150.0, &pts).unwrap();
+        assert_eq!(buf.buckets_per_axis(), 1);
+        let mut pairs = Vec::new();
+        buf.for_each_pair_within(1000.0, |i, j| pairs.push((i, j)));
+        assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]
@@ -2696,9 +2469,12 @@ mod tests {
             Point::new(100.0, 0.0),
             Point::new(0.0, 100.0),
         ];
-        let idx = GridIndex::build(region(), 7.0, &pts).unwrap();
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 7.0, &pts).unwrap();
         for (i, &p) in pts.iter().enumerate() {
-            assert_eq!(idx.indices_within(p, 0.0), vec![i]);
+            let mut hits = Vec::new();
+            buf.for_each_within(p, 0.0, |j| hits.push(j));
+            assert_eq!(hits, vec![i]);
         }
     }
 
@@ -2706,12 +2482,14 @@ mod tests {
     fn coincident_points_all_reported() {
         let p = Point::new(33.0, 66.0);
         let pts = [p, p, p];
-        let idx = GridIndex::build(region(), 4.0, &pts).unwrap();
-        let mut hits = idx.indices_within(p, 0.0);
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 4.0, &pts).unwrap();
+        let mut hits = Vec::new();
+        buf.for_each_within(p, 0.0, |i| hits.push(i));
         hits.sort();
         assert_eq!(hits, vec![0, 1, 2]);
         let mut pairs = Vec::new();
-        idx.for_each_pair_within(4.0, |i, j| pairs.push((i, j)));
+        buf.for_each_pair_within(4.0, |i, j| pairs.push((i, j)));
         pairs.sort();
         assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
     }
@@ -2720,10 +2498,13 @@ mod tests {
     fn bucket_cap_keeps_memory_reasonable() {
         // tiny radius over a big region: bucket count must stay near 2·√n
         let pts = [Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
-        let idx = GridIndex::build(region(), 1e-6, &pts).unwrap();
-        assert!(idx.buckets_per_axis() <= 4);
+        let mut buf = GridIndexBuffer::new();
+        buf.rebuild(region(), 1e-6, &pts).unwrap();
+        assert!(buf.buckets_per_axis() <= 4);
         // queries still correct
-        assert_eq!(idx.count_within(Point::new(1.0, 1.0), 2.0), 2);
+        let mut hits = Vec::new();
+        buf.for_each_within(Point::new(1.0, 1.0), 2.0, |i| hits.push(i));
+        assert_eq!(hits.len(), 2);
     }
 
     #[test]
@@ -2732,46 +2513,9 @@ mod tests {
         let b = BruteForceIndex::build(&pts);
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
-        assert_eq!(b.count_within(Point::new(0.0, 0.0), 0.5), 1);
+        assert_eq!(b.indices_within(Point::new(0.0, 0.0), 0.5), vec![0]);
         assert_eq!(b.pairs_within(1.0), vec![(0, 1)]);
         assert!(BruteForceIndex::build(&[]).is_empty());
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let pts = [
-            Point::new(10.0, 10.0),
-            Point::new(50.0, 50.0),
-            Point::new(90.0, 10.0),
-            Point::new(10.2, 10.1),
-        ];
-        let idx = GridIndex::build(region(), 5.0, &pts).unwrap();
-        let brute = BruteForceIndex::build(&pts);
-        for q in [
-            Point::new(0.0, 0.0),
-            Point::new(49.0, 51.0),
-            Point::new(99.0, 1.0),
-            Point::new(10.1, 10.05),
-        ] {
-            let (gi, gd) = idx.nearest(q).unwrap();
-            let (bi, bd) = brute.nearest(q).unwrap();
-            assert_eq!(gi, bi, "nearest index at {q}");
-            assert!((gd - bd).abs() < 1e-12);
-        }
-        assert!(GridIndex::build(region(), 5.0, &[])
-            .unwrap()
-            .nearest(Point::ORIGIN)
-            .is_none());
-        assert!(BruteForceIndex::build(&[]).nearest(Point::ORIGIN).is_none());
-    }
-
-    #[test]
-    fn nearest_far_outside_region() {
-        let pts = [Point::new(1.0, 1.0)];
-        let idx = GridIndex::build(region(), 2.0, &pts).unwrap();
-        let (i, d) = idx.nearest(Point::new(500.0, 500.0)).unwrap();
-        assert_eq!(i, 0);
-        assert!((d - Point::new(500.0, 500.0).euclid(pts[0])).abs() < 1e-9);
     }
 
     #[test]
@@ -2781,14 +2525,14 @@ mod tests {
     }
 
     #[test]
-    fn buffer_matches_grid_index_queries() {
+    fn buffer_queries_match_brute_force() {
         let mut pts = Vec::new();
         for i in 0..17 {
             for j in 0..17 {
                 pts.push(Point::new(i as f64 * 5.9 + 0.3, j as f64 * 5.7 + 0.9));
             }
         }
-        let idx = GridIndex::build(region(), 6.0, &pts).unwrap();
+        let brute = BruteForceIndex::build(&pts);
         let mut buf = GridIndexBuffer::new();
         buf.rebuild(region(), 6.0, &pts).unwrap();
         assert_eq!(buf.len(), pts.len());
@@ -2798,9 +2542,9 @@ mod tests {
             Point::new(99.0, 1.0),
             Point::new(33.3, 66.6),
         ] {
+            // radii below, at and well above the bucket side
             for r in [0.5, 4.0, 11.0, 30.0] {
-                let mut expected = idx.indices_within(q, r);
-                expected.sort();
+                let expected = brute.indices_within(q, r);
                 let mut got = Vec::new();
                 buf.for_each_within(q, r, |i| got.push(i));
                 got.sort();
@@ -2857,6 +2601,7 @@ mod tests {
     fn buffer_validates_input() {
         let mut buf = GridIndexBuffer::new();
         assert!(buf.rebuild(region(), 0.0, &[]).is_err());
+        assert!(buf.rebuild(region(), -1.0, &[]).is_err());
         assert!(buf.rebuild(region(), f64::NAN, &[]).is_err());
         let bad = [Point::new(0.0, f64::INFINITY)];
         assert!(matches!(
@@ -2867,6 +2612,7 @@ mod tests {
         buf.rebuild(region(), 5.0, &[]).unwrap();
         assert!(buf.is_empty());
         assert!(!buf.any_within(Point::new(1.0, 1.0), 50.0));
+        buf.for_each_pair_within(5.0, |i, j| panic!("empty buffer paired {i} {j}"));
     }
 
     #[test]
@@ -3053,6 +2799,14 @@ mod tests {
         buf.for_each_within(Point::new(11.0, 11.0), 5.0, |i| hits.push(i));
         hits.sort_unstable();
         assert_eq!(hits, vec![0, 1]);
+        // the pair sweep on a 100×10 strip: points 4.9 apart straddle a
+        // row boundary on the short axis
+        let strip = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 10.0)).unwrap();
+        let pts = [Point::new(50.0, 0.5), Point::new(50.0, 5.4)];
+        buf.rebuild(strip, 5.0, &pts).unwrap();
+        let mut pairs = Vec::new();
+        buf.for_each_pair_within(5.0, |i, j| pairs.push((i, j)));
+        assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]
@@ -3289,5 +3043,6 @@ mod tests {
         });
         assert!(!completed);
         assert_eq!(seen, 1);
+        assert!(buf.visit_within(Point::new(1.0, 1.0), 2.0, |_| true));
     }
 }

@@ -2,8 +2,7 @@
 # Tier-1 verification flow: release build, full test suite, formatting,
 # lint (clippy, warnings as errors) and documentation gates (rustdoc
 # warnings-as-errors, markdown link check, rustdoc coverage of the
-# documented API contract), and the bench smoke (compiles all Criterion
-# targets and runs each body once so bench code cannot rot).
+# documented API contract).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,5 +43,4 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 scripts/check_docs.sh
-scripts/bench_smoke.sh
-echo "tier-1: build + tests + fmt + clippy + docs + link/coverage gates + bench smoke all green"
+echo "tier-1: build + tests + fmt + clippy + docs + link/coverage gates all green"
